@@ -268,46 +268,28 @@ class BlockKernel:
         return math.sqrt(self.norm_sq())
 
     def symmetrized(self):
+        mult = {}
         out = {}
         for (a, b), v in self.blocks.items():
             u = tuple(sorted(a + b))
-            w = v * multiplicity(a) * multiplicity(b) / multiplicity(u)
+            for idx in (a, b, u):
+                if idx not in mult:
+                    mult[idx] = multiplicity(idx)
+            w = v * mult[a] * mult[b] / mult[u]
             out[u] = out.get(u, 0.0) + w
         return SymmetricKernel(self.dim, self.order, out)
 
 
-def _sub_multisets(counts_a, counts_b, r):
-    """All multisets of size r contained in both counts maps, as count dicts."""
-    common = sorted(set(counts_a) & set(counts_b))
-    caps = [min(counts_a[i], counts_b[i]) for i in common]
-
-    def rec(pos, remaining, picked):
-        if remaining == 0:
-            yield dict(picked)
-            return
-        if pos == len(common):
-            return
-        if sum(caps[pos:]) < remaining:
-            return
-        for take in range(min(caps[pos], remaining) + 1):
-            if take:
-                picked.append((common[pos], take))
-            yield from rec(pos + 1, remaining - take, picked)
-            if take:
-                picked.pop()
-
-    yield from rec(0, r, [])
+def _distinct_subs(idx, r):
+    """The distinct size-r sub-multisets of a sorted index, ascending."""
+    return dict.fromkeys(itertools.combinations(idx, r))
 
 
-def _remove_counts(idx, sub):
-    taken = dict(sub)
-    out = []
-    for i in reversed(idx):
-        if taken.get(i, 0):
-            taken[i] -= 1
-        else:
-            out.append(i)
-    out.reverse()
+def _remove(idx, sub):
+    """Sorted index minus the sub-multiset ``sub``."""
+    out = list(idx)
+    for i in sub:
+        out.remove(i)
     return tuple(out)
 
 
@@ -317,22 +299,41 @@ def contract(f, g, r):
     (f (x)_r g)(x, y) = sum over s in [d]^r of f(x, s) g(y, s); returns a
     ``BlockKernel`` of order n + m - 2r.  Use ``.symmetrized()`` for the
     symmetric version f (x~)_r g.
+
+    Computed as a hash join on the contracted sub-multiset: g is indexed once
+    by every distinct size-r sub-multiset s of each entry, and each entry a
+    of f meets only the entries of g sharing one of its own s, adding
+    f[a] g[b] r!/prod(counts of s)! to block (a - s, b - s).  The cost is
+    O(nnz_g C(m, r) + nnz_f C(n, r) + matched triples) instead of
+    nnz_f * nnz_g pair visits.  Each block sums its terms in f-entry order,
+    and blocks appear in (f entry, g entry, s descending) order of their
+    first term, as in a plain loop over all entry pairs.
     """
     if f.dim != g.dim:
         raise ValueError("kernel dims differ")
     if r < 0 or r > min(f.order, g.order):
         raise ValueError(f"contraction order r={r} out of range")
+    index = {}
+    for j, (b, vb) in enumerate(g.entries.items()):
+        for sub in _distinct_subs(b, r):
+            index.setdefault(sub, []).append((j, _remove(b, sub), vb))
     blocks = {}
     for a, va in f.entries.items():
-        ca = _counts(a)
-        for b, vb in g.entries.items():
-            cb = _counts(b)
-            for sub in _sub_multisets(ca, cb, r):
-                arrangements = math.factorial(r)
-                for t in sub.values():
-                    arrangements //= math.factorial(t)
-                key = (_remove_counts(a, sub), _remove_counts(b, sub))
-                blocks[key] = blocks.get(key, 0.0) + va * vb * arrangements
+        hits = []
+        for sub in reversed(_distinct_subs(a, r)):
+            bucket = index.get(sub)
+            if bucket:
+                hits.append((_remove(a, sub), multiplicity(sub), bucket))
+        terms = [
+            (j, rest_a, rest_b, vb, w)
+            for rest_a, w, bucket in hits
+            for j, rest_b, vb in bucket
+        ]
+        if len(hits) > 1:
+            terms.sort(key=lambda t: t[0])  # stable: ties keep s descending
+        for _, rest_a, rest_b, vb, w in terms:
+            key = (rest_a, rest_b)
+            blocks[key] = blocks.get(key, 0.0) + va * vb * w
     return BlockKernel(f.dim, f.order - r, g.order - r, blocks)
 
 

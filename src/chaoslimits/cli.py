@@ -35,9 +35,8 @@ from .chaos import (
     wick_moment,
 )
 from .diagnostics import (
+    BUILTIN_FAMILIES,
     classifier,
-    gamma_fixed_family,
-    gaussian_clt_family,
     moment3,
     moment4,
     run_family_diagnostics,
@@ -177,13 +176,12 @@ def _pair_doc(pair):
 def _cmd_diagnose(args):
     if args.mc and args.seed is None:
         raise ValueError("--seed is required when --mc > 0")
-    if args.family == "gaussian_clt":
-        family = gaussian_clt_family()
-    elif args.family == "gamma_fixed":
-        k = int(args.a) if args.a is not None else 1
-        family = gamma_fixed_family(k)
-    else:
-        raise ValueError(f"--family: unknown family {args.family!r}")
+    if args.family not in BUILTIN_FAMILIES:
+        raise ValueError(
+            f"--family: unknown family {args.family!r}; choose from"
+            f" {sorted(BUILTIN_FAMILIES)}"
+        )
+    family = BUILTIN_FAMILIES[args.family](1 if args.a is None else args.a)
     ms = _parse_m_list(args.m)
     target = _resolve_target(args)
     report = run_family_diagnostics(

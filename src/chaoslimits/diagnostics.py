@@ -76,20 +76,44 @@ def c_n(n):
     return math.factorial(n // 2) ** 3 / math.factorial(n) ** 2
 
 
+class _SelfContractions(dict):
+    """p -> f ~x_p f for one kernel f, each computed on first use.
+
+    An instance lives for one public call, or for one family member in
+    ``run_family_diagnostics``, so that the diagnostics sharing a
+    contraction compute it once.
+    """
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, p):
+        self[p] = h = contract(self.f, self.f, p).symmetrized()
+        return h
+
+
 def moment3(f):
     """E[I_n(f)^3]; zero for odd n, else (n!^3 / (n/2)!^3) <f, f ~x_{n/2} f>."""
+    return _moment3(f, _SelfContractions(f))
+
+
+def _moment3(f, sc):
     n = f.order
     if n == 0:
         return f.entries.get((), 0.0) ** 3
     if n % 2:
         return 0.0
-    half = contract(f, f, n // 2).symmetrized()
-    return math.factorial(n) ** 3 / math.factorial(n // 2) ** 3 * f.inner(half)
+    return math.factorial(n) ** 3 / math.factorial(n // 2) ** 3 * f.inner(sc[n // 2])
 
 
 def moment4(f):
     """E[I_n(f)^4] = 3 (n! ||f||^2)^2 + 3n sum_p (p-1)! C(n-1,p-1)^2 p!
     C(n,p)^2 (2n-2p)! ||f ~x_p f||^2."""
+    return _moment4(f, _SelfContractions(f))
+
+
+def _moment4(f, sc):
     n = f.order
     if n == 0:
         return f.entries.get((), 0.0) ** 4
@@ -101,7 +125,7 @@ def moment4(f):
             * math.factorial(p) * math.comb(n, p) ** 2
             * math.factorial(2 * n - 2 * p)
         )
-        total += 3.0 * n * coef * contract(f, f, p).symmetrized().norm_sq()
+        total += 3.0 * n * coef * sc[p].norm_sq()
     return total
 
 
@@ -280,10 +304,13 @@ def stein_residual_l2(f, coeff):
     contribute (1/4) E[I_k(g_k)^2]; each level enters with its chaos-isometric
     weight k! on the symmetrized kernel.
     """
+    return _stein_residual_l2(f, _a_of_F(f, coeff), _SelfContractions(f))
+
+
+def _stein_residual_l2(f, aF, sc):
     n = f.order
     if n == 0:
         raise ValueError("needs a kernel of order >= 1")
-    aF = _a_of_F(f, coeff)
     total = 0.0
     levels = set(aF.components) | set(range(0, 2 * n - 1, 2))
     for k in sorted(levels):
@@ -292,7 +319,7 @@ def stein_residual_l2(f, coeff):
             coefficient = (
                 n * math.factorial(n - 1 - k // 2) * math.comb(n - 1, k // 2) ** 2
             )
-            bracket = 0.5 * gk - coefficient * contract(f, f, n - k // 2).symmetrized()
+            bracket = 0.5 * gk - coefficient * sc[n - k // 2]
             total += math.factorial(k) * bracket.norm_sq()
         else:
             total += 0.25 * math.factorial(k) * gk.norm_sq()
@@ -321,12 +348,27 @@ def _pathwise_parts(f, coeff, x):
     return 0.5 * aval, df2 / n
 
 
-def stein_residual_l2_mc(f, coeff, samples, seed):
-    """Monte Carlo route (slice-based pathwise evaluation): (value, stderr)."""
+def _mean_stderr(values):
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
+def _mc_twins(f, coeff, samples, seed):
+    """The three Monte Carlo estimators from one draw of ``samples`` points:
+    (``stein_residual_l2_mc``, ``prop24_gap_mc``, ``stein_discrepancy_l1_mc``),
+    each a (value, stderr) pair."""
     x = sample_gaussian(f.dim, samples, seed)
     half_a, k = _pathwise_parts(f, coeff, x)
-    r2 = (half_a - k) ** 2
-    return float(r2.mean()), float(r2.std(ddof=1) / math.sqrt(len(r2)))
+    gap, gap_stderr = _mean_stderr(half_a**2 - k**2)
+    return (
+        _mean_stderr((half_a - k) ** 2),
+        (abs(gap), gap_stderr),
+        _mean_stderr(np.abs(half_a - k)),
+    )
+
+
+def stein_residual_l2_mc(f, coeff, samples, seed):
+    """Monte Carlo route (slice-based pathwise evaluation): (value, stderr)."""
+    return _mc_twins(f, coeff, samples, seed)[0]
 
 
 def stein_discrepancy_l1_mc(f, coeff, samples, seed):
@@ -335,16 +377,16 @@ def stein_discrepancy_l1_mc(f, coeff, samples, seed):
     This is the raw expectation entering the distance bound; no constant is
     asserted, the number is reported as-is.
     """
-    x = sample_gaussian(f.dim, samples, seed)
-    half_a, k = _pathwise_parts(f, coeff, x)
-    r = np.abs(half_a - k)
-    return float(r.mean()), float(r.std(ddof=1) / math.sqrt(len(r)))
+    return _mc_twins(f, coeff, samples, seed)[2]
 
 
 def prop24_gap(f, coeff):
     """|(1/4) E[a(F)^2] - n^{-2} E[||DF||^4]|, all in exact chaos arithmetic."""
+    return _prop24_gap(f, _a_of_F(f, coeff))
+
+
+def _prop24_gap(f, aF):
     n = f.order
-    aF = _a_of_F(f, coeff)
     m = malliavin_inner(f, f)
     ea2 = expect_product(aF, aF)
     edf4 = expect_product(m, m)
@@ -353,34 +395,43 @@ def prop24_gap(f, coeff):
 
 def prop24_gap_mc(f, coeff, samples, seed):
     """Monte Carlo version of ``prop24_gap``: (value, stderr of the difference)."""
-    x = sample_gaussian(f.dim, samples, seed)
-    half_a, k = _pathwise_parts(f, coeff, x)
-    diff = half_a**2 - k**2
-    return abs(float(diff.mean())), float(diff.std(ddof=1) / math.sqrt(len(diff)))
+    return _mc_twins(f, coeff, samples, seed)[1]
 
 
 def lemma_l2_combination(f, coeff):
     """E[F^4 - (3/2) a(F) F^2], exact: vanishes at the Gamma fixed point."""
+    sc = _SelfContractions(f)
+    return _lemma_l2_combination(
+        coeff, f.scaled_norm_sq(), _moment3(f, sc), _moment4(f, sc)
+    )
+
+
+def _lemma_l2_combination(coeff, ef2, ef3, ef4):
     alpha, beta, gamma = _as_coeff_tuple(coeff)
-    ef2 = f.scaled_norm_sq()
-    ef3 = moment3(f)
-    ef4 = moment4(f)
     return (1.0 - 1.5 * alpha) * ef4 - 1.5 * beta * ef3 - 1.5 * gamma * ef2
 
 
 def gamma_kernel_gap(f, lam):
     """|| (2/lam) c_n f - f ~x_{n/2} f ||: zero iff f is a Gamma fixed point."""
+    return _gamma_kernel_gap(f, lam, _SelfContractions(f))
+
+
+def _gamma_kernel_gap(f, lam, sc):
     n = f.order
-    g = (2.0 / lam) * c_n(n) * f - contract(f, f, n // 2).symmetrized()
+    g = (2.0 / lam) * c_n(n) * f - sc[n // 2]
     return g.norm()
 
 
 def lemma_l11_gap(f, coeff):
     """|<f, f ~x_{n/2} f> - (beta/(1-alpha)) c_n ||f||^2| for even order."""
+    return _lemma_l11_gap(f, coeff, _SelfContractions(f))
+
+
+def _lemma_l11_gap(f, coeff, sc):
     alpha, beta, _ = _as_coeff_tuple(coeff)
     if alpha == 1.0:
         raise ValueError("alpha = 1 is excluded")
-    half = contract(f, f, f.order // 2).symmetrized()
+    half = sc[f.order // 2]
     return abs(f.inner(half) - beta / (1.0 - alpha) * c_n(f.order) * f.norm_sq())
 
 
@@ -413,9 +464,13 @@ def gaussian_clt_family():
 
 
 def gamma_fixed_family(k):
-    """f = sum_{i<k} e_i^{x2}, constant in m: F ~ centered Gamma(k/2, 1/2)."""
-    if k < 1:
-        raise ValueError("gamma_fixed needs k >= 1")
+    """f = sum_{i<k} e_i^{x2}, constant in m: F ~ centered Gamma(k/2, 1/2).
+
+    k must be a whole number >= 1 (an integral float such as 4.0 is accepted).
+    """
+    if not (k >= 1 and float(k).is_integer()):
+        raise ValueError(f"gamma_fixed needs an integer k >= 1, got {k!r}")
+    k = int(k)
 
     def member(m):
         return SymmetricKernel(k, 2, {(i, i): 1.0 for i in range(k)})
@@ -476,34 +531,31 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
     for j, m in enumerate(ms):
         f = family(m)
         n = f.order
+        sc = _SelfContractions(f)
+        aF = _a_of_F(f, coeff)
+        ef2, ef3, ef4 = f.scaled_norm_sq(), _moment3(f, sc), _moment4(f, sc)
         rec = {
             "m": int(m),
             "dim": f.dim,
-            "ef2": f.scaled_norm_sq(),
-            "ef3": moment3(f),
-            "ef4": moment4(f),
+            "ef2": ef2,
+            "ef3": ef3,
+            "ef4": ef4,
             "contraction_norms": {
-                p: math.sqrt(contract(f, f, p).symmetrized().norm_sq())
-                for p in range(1, n)
+                p: math.sqrt(sc[p].norm_sq()) for p in range(1, n)
             },
-            "stein_residual_l2_chaos": stein_residual_l2(f, coeff),
-            "prop24_gap_chaos": prop24_gap(f, coeff),
-            "lemma_l2_combination": lemma_l2_combination(f, coeff),
+            "stein_residual_l2_chaos": _stein_residual_l2(f, aF, sc),
+            "prop24_gap_chaos": _prop24_gap(f, aF),
+            "lemma_l2_combination": _lemma_l2_combination(coeff, ef2, ef3, ef4),
         }
         if n % 2 == 0:
             if lam_match is not None:
-                rec["gamma_kernel_gap"] = gamma_kernel_gap(f, lam_match)
+                rec["gamma_kernel_gap"] = _gamma_kernel_gap(f, lam_match, sc)
             if alpha != 1.0:
-                rec["lemma_l11_gap"] = lemma_l11_gap(f, coeff)
+                rec["lemma_l11_gap"] = _lemma_l11_gap(f, coeff, sc)
         if mc_samples:
             sub = int(seed) + 1000003 * j
-            rec["stein_residual_l2_mc"] = stein_residual_l2_mc(
-                f, coeff, mc_samples, sub
-            )
-            rec["prop24_gap_mc"] = prop24_gap_mc(f, coeff, mc_samples, sub)
-            rec["stein_discrepancy_l1"] = stein_discrepancy_l1_mc(
-                f, coeff, mc_samples, sub
-            )
+            (rec["stein_residual_l2_mc"], rec["prop24_gap_mc"],
+             rec["stein_discrepancy_l1"]) = _mc_twins(f, coeff, mc_samples, sub)
         members.append(rec)
     verdict = classifier(
         alpha, beta, gamma,

@@ -3,6 +3,7 @@
 Everything here works on dense ndarrays or brute-force enumeration, sharing
 no code with the sparse orbit representation under test.
 """
+import collections
 import itertools
 import math
 
@@ -84,3 +85,33 @@ HERMITE_COEFFS = {
 def hermite_ref(n, x):
     """Normalized Hermite polynomial from the frozen coefficient table."""
     return np.polynomial.polynomial.polyval(x, HERMITE_COEFFS[n])
+
+
+def naive_contract(f, g, r):
+    """Blocks of f (x)_r g by visiting every pair of entries.
+
+    For each pair (a, b) of sorted indices and each multiset s of size r
+    contained in both, adds f[a] g[b] r!/prod(counts of s)! to the block
+    (a - s, b - s).  Pairs are taken in (f entry, g entry) order and, within
+    a pair, s in increasing order of its count vector.
+    """
+    blocks = {}
+    for a, va in f.entries.items():
+        ca = collections.Counter(a)
+        for b, vb in g.entries.items():
+            cb = collections.Counter(b)
+            common = sorted(set(ca) & set(cb))
+            caps = [range(min(ca[i], cb[i]) + 1) for i in common]
+            for takes in itertools.product(*caps):
+                if sum(takes) != r:
+                    continue
+                arrangements = math.factorial(r)
+                for t in takes:
+                    arrangements //= math.factorial(t)
+                ra, rb = collections.Counter(ca), collections.Counter(cb)
+                for i, t in zip(common, takes):
+                    ra[i] -= t
+                    rb[i] -= t
+                key = (tuple(sorted(ra.elements())), tuple(sorted(rb.elements())))
+                blocks[key] = blocks.get(key, 0.0) + va * vb * arrangements
+    return blocks

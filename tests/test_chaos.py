@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chaoslimits import (
+    BlockKernel,
     ChaosVector,
     SymmetricKernel,
     chaos_product,
@@ -31,6 +32,7 @@ from oracles import (
     gauss_hermite_expectation,
     hermite_ref,
     multiplicity_ref,
+    naive_contract,
     raw_to_dense,
 )
 
@@ -181,6 +183,25 @@ def test_contract_matches_dense_sweep():
         assert np.allclose(dense(got.symmetrized()), dense_sym(want), atol=1e-12)
         assert math.isclose(got.norm_sq(), float(np.sum(want**2)),
                             rel_tol=1e-11, abs_tol=1e-12)
+
+
+def test_contract_blocks_equal_pairwise_loop_exactly():
+    # The join must add the same terms in the same order as a loop over all
+    # entry pairs: block values, block order and symmetrized entries are
+    # compared with ==, not a tolerance.
+    rng = np.random.default_rng(47)
+    for trial in range(150):
+        d = int(rng.integers(1, 9))
+        f = random_kernel(rng, d, int(rng.integers(0, 5)), int(rng.integers(1, 41)))
+        g = f if trial % 2 else random_kernel(
+            rng, d, int(rng.integers(0, 5)), int(rng.integers(1, 41)))
+        for r in range(min(f.order, g.order) + 1):
+            got = contract(f, g, r)
+            want = naive_contract(f, g, r)
+            assert got.blocks == want
+            assert list(got.blocks) == list(want)
+            sym = BlockKernel(d, f.order - r, g.order - r, want).symmetrized()
+            assert got.symmetrized().entries == sym.entries
 
 
 def test_contract_full_equals_inner():

@@ -387,6 +387,18 @@ def test_run_family_diagnostics_mc_twins():
         assert "prop24_gap_mc" in rec and "stein_discrepancy_l1" in rec
 
 
+def test_run_family_diagnostics_clt_large_m():
+    m = 4096
+    (rec,) = run_family_diagnostics(
+        gaussian_clt_family(), [m], normal_target(1.0)
+    ).members
+    assert math.isclose(rec["ef2"], 1.0, rel_tol=1e-13)
+    assert math.isclose(rec["ef4"], 3.0 + 12.0 / m, rel_tol=1e-13)
+    assert math.isclose(rec["contraction_norms"][1] ** 2, 1.0 / (4 * m),
+                        rel_tol=1e-13)
+    assert math.isclose(rec["stein_residual_l2_chaos"], 2.0 / m, rel_tol=1e-13)
+
+
 def test_run_family_diagnostics_guards():
     with pytest.raises(ValueError, match="seed"):
         run_family_diagnostics(gaussian_clt_family(), [2], normal_target(1.0),
@@ -400,5 +412,7 @@ def test_run_family_diagnostics_guards():
 def test_builtin_families_registry():
     assert BUILTIN_FAMILIES["gaussian_clt"]()(3).dim == 3
     assert BUILTIN_FAMILIES["gamma_fixed"](2)(7).dim == 2
-    with pytest.raises(ValueError):
-        gamma_fixed_family(0)
+    assert BUILTIN_FAMILIES["gamma_fixed"](4.0)(1).dim == 4
+    for bad in (0, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            gamma_fixed_family(bad)

@@ -255,6 +255,14 @@ def test_cli_error_exit_codes(capsys, tmp_path):
     assert code == 1 and "numeric failure" in err
 
 
+def test_cli_diagnose_rejects_non_integer_family_size(capsys):
+    for a in ("2.5", "0"):
+        code, out, err = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",
+                                          "--a", a, "--m", "1", "--name",
+                                          "normal", "--gamma", "1"])
+        assert code == 2 and "integer k >= 1" in err and not out
+
+
 def test_cli_diagnose_gamma_family_fixed_point(capsys, tmp_path):
     # --a sizes the family; the matched Gamma(k/2, 1/2) target comes from a file
     tf = tmp_path / "gamma.json"
