@@ -21,7 +21,7 @@ import numpy as np
 import scipy.stats
 
 from .chaos import iter_gaussian_chunks
-from .targets import _derivative5
+from .targets import _stein_operator
 
 __all__ = [
     "SimConfig",
@@ -95,25 +95,6 @@ class EmpiricalDistribution:
         return float(np.quantile(self.values, q))
 
 
-def _affine_drift(target):
-    """(b0, b1) if the drift is affine b0 + b1 x on the support, else None.
-
-    Probed at four interior quantiles, so the drift is never evaluated
-    outside the support.
-    """
-    try:
-        xs = np.asarray(target.ppf(np.array([0.3, 0.45, 0.6, 0.75])), dtype=float)
-        ys = np.asarray(target.drift(xs), dtype=float)
-        b1 = (ys[3] - ys[0]) / (xs[3] - xs[0])
-        b0 = ys[0] - b1 * xs[0]
-        scale = max(1.0, float(np.max(np.abs(ys))))
-        if np.max(np.abs(ys - (b0 + b1 * xs))) < 1e-10 * scale:
-            return float(b0), float(b1)
-    except Exception:
-        pass
-    return None
-
-
 def simulate(target, cfg):
     """Run one Euler-Maruyama chain and return the thinned post-burn-in draws.
 
@@ -132,8 +113,7 @@ def simulate(target, cfg):
         raise ValueError("boundary_epsilon swallows the whole support")
 
     coeff = target.coeff
-    poly = coeff.as_tuple() if coeff.kind == "polynomial" else None
-    affine = _affine_drift(target)
+    mean = target.mean
 
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
@@ -147,19 +127,14 @@ def simulate(target, cfg):
     clamped = 0
     next_keep = cfg.burn_in + cfg.thinning
     sqrt = math.sqrt
-    fast = poly is not None and affine is not None
+    fast = coeff.kind == "polynomial"
     if fast:
-        al, be, ga = poly
-        b0, b1 = affine
+        al, be, ga = coeff.as_tuple()
 
     for block in iter_gaussian_chunks(1, total, cfg.seed):
         for z in block.ravel().tolist():
-            if fast:
-                a = (al * x + be) * x + ga
-                b = b0 + b1 * x
-            else:
-                a = float(coeff(x))
-                b = float(target.drift(x))
+            a = (al * x + be) * x + ga if fast else float(coeff(x))
+            b = mean - x
             if a <= 0.0:
                 raise RuntimeError(
                     f"diffusion coefficient {a!r} <= 0 at x = {x!r}:"
@@ -221,15 +196,7 @@ def stein_residual_empirical(e, target, h, dh=None):
     be omitted, in which case a five-point stencil at h ~ 1e-5 of the target
     length scale is used.
     """
-    y = e.values
-    hv = np.asarray(h(y), dtype=float)
-    if dh is not None:
-        dhv = np.asarray(dh(y), dtype=float)
-    else:
-        step = 1e-5 * target.length_scale()
-        dhv = _derivative5(h, y, step)
-    vals = 0.5 * np.asarray(target.coeff(y), dtype=float) * dhv \
-        + np.asarray(target.drift(y), dtype=float) * hv
+    vals = np.asarray(_stein_operator(target, h, dh)(e.values), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return mean, stderr

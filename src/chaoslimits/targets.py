@@ -5,8 +5,9 @@ A target here is a probability measure mu with density p on an interval
 
     dX_t = b(X_t) dt + sqrt(a(X_t)) dW_t,
 
-with drift b(x) = -x for centered targets.  The diffusion coefficient is
-recovered from the density by
+with linear drift b(x) = m - x, m = E[X] (m = 0 for the centered named
+targets; Pearson diffusions share this drift).  The diffusion coefficient
+is recovered from the density by
 
     a(x) = 2 * int_l^x b(y) p(y) dy / p(x),                              (*)
 
@@ -58,6 +59,7 @@ __all__ = [
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 _INSET_FRAC = 1e-8
+_FD_STEP = 1e-5  # finite-difference step, as a fraction of the length scale
 
 
 def _quad(fn, lo, hi):
@@ -116,39 +118,26 @@ class DiffusionCoefficient:
 class TargetMeasure:
     """A density on (l, u) together with its diffusion pair (a, b).
 
-    ``moment_bound`` is the supremum of k with E|X|^k < inf (math.inf when all
-    moments exist); fourth-moment diagnostics refuse targets with too few
-    moments instead of silently reporting garbage.
+    The drift is b(x) = mean - x by construction, ``mean`` being E[X] under
+    this law.  ``moment_bound`` is the supremum of k with E|X|^k < inf
+    (math.inf when all moments exist).  Nothing refuses a target with too few
+    moments: the classifier reports ``c0_sign_argument_applies: false`` and
+    the fourth-moment diagnostics still report their values.
     """
 
     name: str
     support: tuple
     density: object = field(repr=False)
     coeff: DiffusionCoefficient = field(repr=False)
-    drift: object = field(repr=False, default=None)
     cdf: object = field(repr=False, default=None)
     ppf: object = field(repr=False, default=None)
     params: dict = field(default_factory=dict)
     moment_bound: float = math.inf
+    mean: float = 0.0
     mean_shift: float = 0.0  # EX of the *uncentered* parent law, for reference
 
-    def __post_init__(self):
-        if self.drift is None:
-            object.__setattr__(self, "drift", lambda x: -np.asarray(x, dtype=float))
-
-    # --- helpers --------------------------------------------------------
-    def inset(self):
-        l, u = self.support
-        if math.isfinite(l) and math.isfinite(u):
-            return _INSET_FRAC * (u - l)
-        return 0.0
-
-    def clamp(self, x):
-        l, u = self.support
-        eps = self.inset()
-        lo = l + eps if math.isfinite(l) else -np.inf
-        hi = u - eps if math.isfinite(u) else np.inf
-        return np.clip(x, lo, hi)
+    def drift(self, x):
+        return self.mean - np.asarray(x, dtype=float)
 
     def has_moment(self, k):
         return k < self.moment_bound
@@ -419,31 +408,55 @@ def target_from_density_grid(xs, ps, support=None, name="custom"):
         return out if out.ndim else float(out)
 
     mean = _quad(lambda y: y * density(y), lo, hi)
-    drift = lambda x: mean - np.asarray(x, dtype=float)
-    coeff = coeff_from_density(density, (lo, hi), drift=drift, cdf=cdf)
+    coeff = coeff_from_density(density, (lo, hi), mean=mean, cdf=cdf)
     return TargetMeasure(
-        name=name, support=(lo, hi), density=density, coeff=coeff, drift=drift,
-        cdf=cdf, ppf=ppf, params={"grid_points": len(xs)}, mean_shift=mean,
+        name=name, support=(lo, hi), density=density, coeff=coeff, cdf=cdf,
+        ppf=ppf, params={"grid_points": len(xs)}, mean=mean, mean_shift=mean,
     )
 
 
-def coeff_from_density(density, support, drift=None, cdf=None):
-    """Numeric diffusion coefficient from (*): a(x) = 2 int_l^x b p / p(x).
+def _inset_bounds(support):
+    """Support shrunk by _INSET_FRAC of its length at each finite end."""
+    l, u = support
+    eps = _INSET_FRAC * (u - l) if math.isfinite(l) and math.isfinite(u) else 0.0
+    return (l + eps if math.isfinite(l) else -np.inf,
+            u - eps if math.isfinite(u) else np.inf)
 
-    ``drift`` defaults to b(x) = -x.  The partial integral is taken from the
-    nearer tail (using int_l^u b p = 0), which keeps the quotient conditioned
-    far into either tail; evaluation clamps x to an inset interior point when
-    the support is finite.
+
+def _tail_quotient(weight, den, support, left):
+    """x -> 2 int_l^x weight / den(x), with x clamped to the inset support.
+
+    ``weight`` integrates to 0 over the support, so the partial integral is
+    taken from the nearer tail (``left(x)`` picks the lower one), which keeps
+    the quotient conditioned far into either tail.  Accepts scalars or arrays.
     """
     l, u = float(support[0]), float(support[1])
-    if drift is None:
-        drift = lambda x: -np.asarray(x, dtype=float)
-    eps = _INSET_FRAC * (u - l) if math.isfinite(l) and math.isfinite(u) else 0.0
-    lo = l + eps if math.isfinite(l) else -np.inf
-    hi = u - eps if math.isfinite(u) else np.inf
+    lo, hi = _inset_bounds((l, u))
 
-    def bp(y):
-        return drift(y) * density(y)
+    def one(x):
+        x = min(max(float(x), lo), hi)
+        num = _quad(weight, l, x) if left(x) else -_quad(weight, x, u)
+        d = den(x)
+        if d <= 0.0 or not np.isfinite(d):
+            raise ValueError(f"denominator {d!r} is not positive at x={x!r}")
+        return 2.0 * num / d
+
+    def quotient(x):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0:
+            return one(arr)
+        return np.array([one(v) for v in arr.ravel()]).reshape(arr.shape)
+
+    return quotient
+
+
+def coeff_from_density(density, support, mean=0.0, cdf=None):
+    """Numeric diffusion coefficient from (*): a(x) = 2 int_l^x b p / p(x).
+
+    The drift is b(x) = mean - x.  The tail is chosen by ``cdf(x) <= 0.5``,
+    or, without a cdf, by the side of a pivot inside the support.
+    """
+    l, u = float(support[0]), float(support[1])
 
     if cdf is None:
         if math.isfinite(l) and math.isfinite(u):
@@ -454,28 +467,11 @@ def coeff_from_density(density, support, drift=None, cdf=None):
             pivot = u - 1.0
         else:
             pivot = 0.0
-        use_left = lambda x: x <= pivot
+        left = lambda x: x <= pivot
     else:
-        use_left = lambda x: cdf(x) <= 0.5
-
-    def one(x):
-        x = min(max(float(x), lo), hi)
-        if use_left(x):
-            num = _quad(bp, l, x)
-        else:
-            num = -_quad(bp, x, u)
-        den = density(x)
-        if den <= 0.0 or not np.isfinite(den):
-            raise ValueError(f"density vanishes at x={x!r}; cannot form a(x)")
-        return 2.0 * num / den
-
-    def evaluator(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return one(arr)
-        return np.array([one(v) for v in arr.ravel()]).reshape(arr.shape)
-
-    return DiffusionCoefficient.numeric(evaluator)
+        left = lambda x: cdf(x) <= 0.5
+    bp = lambda y: (mean - np.asarray(y, dtype=float)) * density(y)
+    return DiffusionCoefficient.numeric(_tail_quotient(bp, density, (l, u), left))
 
 
 def stein_solution(target, f):
@@ -483,37 +479,17 @@ def stein_solution(target, f):
 
     g(x) = 2 (int_l^x (f - m_f) p) / (a(x) p(x)), evaluated from the nearer
     tail.  The solution is the one vanishing appropriately at both endpoints.
+    Raises ValueError where a(x) p(x) is not positive.
     """
     l, u = target.support
     m_f = _quad(lambda y: f(y) * target.density(y), l, u)
-
-    def resid_p(y):
-        return (f(y) - m_f) * target.density(y)
-
-    def one(x):
-        x = float(np.clip(x, *_inset_bounds(target)))
-        left = target.cdf(x) <= 0.5 if target.cdf is not None else x <= 0.0
-        num = _quad(resid_p, l, x) if left else -_quad(resid_p, x, u)
-        den = target.coeff(x) * target.density(x)
-        if den == 0.0 or not np.isfinite(den):
-            raise ValueError(f"a*p vanishes at x={x!r}")
-        return 2.0 * num / den
-
-    def g(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return one(arr)
-        return np.array([one(v) for v in arr.ravel()]).reshape(arr.shape)
-
+    cdf = target.cdf
+    left = (lambda x: cdf(x) <= 0.5) if cdf is not None else (lambda x: x <= 0.0)
+    g = _tail_quotient(lambda y: (f(y) - m_f) * target.density(y),
+                       lambda x: target.coeff(x) * target.density(x),
+                       target.support, left)
     g.mean_value = m_f
     return g
-
-
-def _inset_bounds(target):
-    l, u = target.support
-    eps = target.inset()
-    return (l + eps if math.isfinite(l) else -np.inf,
-            u - eps if math.isfinite(u) else np.inf)
 
 
 def _derivative5(fn, x, h):
@@ -521,42 +497,51 @@ def _derivative5(fn, x, h):
     return (-fn(x + 2 * h) + 8 * fn(x + h) - 8 * fn(x - h) + fn(x - 2 * h)) / (12 * h)
 
 
-def stein_solution_residual(target, f, xs, h_scale=1e-5):
+def _stein_operator(target, h, dh=None):
+    """x -> (1/2) a(x) h'(x) + b(x) h(x), the Stein operator of the target.
+
+    ``dh`` defaults to a five-point central difference with step
+    _FD_STEP times the target's length scale.
+    """
+    if dh is None:
+        step = _FD_STEP * target.length_scale()
+        dh = lambda x: _derivative5(h, x, step)
+
+    def op(x):
+        return 0.5 * target.coeff(x) * dh(x) + target.drift(x) * h(x)
+
+    return op
+
+
+def stein_solution_residual(target, f, xs):
     """Residual (1/2) a g' + b g - (f - m_f) at points xs.
 
-    g' is a five-point central difference with step h = h_scale * length
-    scale of the target; points are clamped so the stencil stays interior.
+    g' is a five-point central difference with step _FD_STEP times the
+    target's length scale; points are clamped so the stencil stays interior.
     """
     g = stein_solution(target, f)
-    h = h_scale * target.length_scale()
-    lo, hi = _inset_bounds(target)
+    step = _FD_STEP * target.length_scale()
+    op = _stein_operator(target, g, lambda x: _derivative5(g, x, step))
+    lo, hi = _inset_bounds(target.support)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    xs = np.clip(xs, lo + 2 * h if math.isfinite(lo) else -np.inf,
-                 hi - 2 * h if math.isfinite(hi) else np.inf)
+    xs = np.clip(xs, lo + 2 * step if math.isfinite(lo) else -np.inf,
+                 hi - 2 * step if math.isfinite(hi) else np.inf)
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
-        gp = _derivative5(g, x, h)
-        out[i] = (0.5 * target.coeff(x) * gp + target.drift(x) * g(x)
-                  - (f(x) - g.mean_value))
+        out[i] = op(x) - (f(x) - g.mean_value)
     return out
 
 
-def stein_identity_residual(target, h, dh=None, h_scale=1e-5):
+def stein_identity_residual(target, h, dh=None):
     """E[(1/2) a(X) h'(X) + b(X) h(X)] under the target, by quadrature.
 
     Zero (to quadrature accuracy) for every admissible h exactly when the
     target is the invariant law of the (a, b) diffusion.  ``dh`` defaults to
     a five-point central difference.
     """
-    if dh is None:
-        step = h_scale * target.length_scale()
-        dh = lambda x: _derivative5(h, x, step)
+    op = _stein_operator(target, h, dh)
     l, u = target.support
-
-    def integrand(y):
-        return (0.5 * target.coeff(y) * dh(y) + target.drift(y) * h(y)) * target.density(y)
-
-    return _quad(integrand, l, u)
+    return _quad(lambda y: op(y) * target.density(y), l, u)
 
 
 # --- moments forced by a quadratic coefficient ------------------------------

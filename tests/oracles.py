@@ -115,3 +115,29 @@ def naive_contract(f, g, r):
                 key = (tuple(sorted(ra.elements())), tuple(sorted(rb.elements())))
                 blocks[key] = blocks.get(key, 0.0) + va * vb * arrangements
     return blocks
+
+
+def naive_em(target, cfg):
+    """Reference Euler-Maruyama chain: the kept draws in chain order.
+
+    Calls ``target.coeff(x)`` and ``target.drift(x)`` generically at every
+    step, on the noise stream, clamping and thinning of ``simulate``.
+    """
+    from chaoslimits.chaos import iter_gaussian_chunks
+
+    l, u = target.support
+    eps = cfg.boundary_epsilon
+    lo = l + eps if math.isfinite(l) else -math.inf
+    hi = u - eps if math.isfinite(u) else math.inf
+    x = min(max(float(target.ppf(0.5)), lo), hi)
+    total = cfg.burn_in + cfg.samples * cfg.thinning
+    noise = np.concatenate(list(iter_gaussian_chunks(1, total, cfg.seed)))
+    kept = []
+    for step, z in enumerate(noise.ravel().tolist(), start=1):
+        a = float(target.coeff(x))
+        b = float(target.drift(x))
+        x = x + b * cfg.dt + math.sqrt(a) * math.sqrt(cfg.dt) * z
+        x = min(max(x, lo), hi)
+        if step > cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
+            kept.append(x)
+    return np.array(kept)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from chaoslimits import (
     EmpiricalDistribution,
@@ -14,9 +15,11 @@ from chaoslimits import (
     simulate,
     stein_dictionary_test,
     stein_residual_empirical,
+    target_from_density_grid,
     uniform_centered_target,
     wasserstein1_distance,
 )
+from oracles import naive_em
 
 FAST = SimConfig(dt=2e-3, burn_in=2_000, samples=2_000, thinning=5, seed=1)
 
@@ -110,6 +113,25 @@ def test_clamp_fraction_reporting():
     assert e.clamping_flagged
     calm = simulate(t, FAST)
     assert not calm.clamping_flagged
+
+
+def test_simulate_numeric_coefficient_equals_reference_chain():
+    # a 65-knot N(0, 1) grid target: a(x) is one quad per step, drift mean - x
+    xs = np.linspace(-6.0, 6.0, 65)
+    t = target_from_density_grid(xs, scipy.stats.norm.pdf(xs))
+    assert t.coeff.kind == "numeric"
+    cfg = SimConfig(dt=1e-3, burn_in=10, samples=4, thinning=5, seed=13)
+    ref = naive_em(t, cfg)
+    assert ref.size == cfg.samples
+    assert np.array_equal(simulate(t, cfg).values, np.sort(ref))
+
+
+def test_simulate_polynomial_coefficient_matches_reference_chain():
+    # Horner in the chain against the expanded polynomial in the reference
+    t = gamma_target(2.0, 1.0)
+    cfg = SimConfig(dt=1e-3, burn_in=1_000, samples=100, thinning=10, seed=17)
+    ref = np.sort(naive_em(t, cfg))
+    assert np.max(np.abs(simulate(t, cfg).values - ref)) <= 1e-11
 
 
 # --- distances ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
 
 from chaoslimits import (
+    DiffusionCoefficient,
+    TargetMeasure,
     beta_target,
     fdist_target,
     gamma_target,
@@ -250,6 +253,31 @@ def test_stein_identity_residual_detects_mismatch():
         0.5, np.inf,
     )[0]
     assert abs(val + tail) > 0.1
+
+
+def test_stein_solution_raises_where_a_is_not_positive():
+    # the N(0, 1) density with the uniform coefficient 1/4 - x^2 < 0 at x = 1
+    norm = scipy.stats.norm()
+    t = TargetMeasure(
+        name="mismatch", support=(-math.inf, math.inf), density=norm.pdf,
+        coeff=DiffusionCoefficient.polynomial(-1.0, 0.0, 0.25),
+        cdf=norm.cdf, ppf=norm.ppf,
+    )
+    g = stein_solution(t, lambda y: y)
+    assert math.isfinite(g(0.0))  # a(0) = 1/4 > 0
+    with pytest.raises(ValueError, match="not positive"):
+        g(1.0)
+
+
+def test_drift_is_mean_minus_x():
+    xs = np.array([-2.0, 0.5, 3.0])
+    assert np.array_equal(normal_target(1.0).drift(xs), -xs)
+    t = TargetMeasure(name="shifted", support=(-math.inf, math.inf),
+                      density=scipy.stats.norm(loc=1.5).pdf,
+                      coeff=DiffusionCoefficient.polynomial(0.0, 0.0, 2.0),
+                      mean=1.5)
+    assert np.array_equal(t.drift(xs), 1.5 - xs)
+    assert t.validate()
 
 
 def test_stein_solution_mean_value_recorded():
