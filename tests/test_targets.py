@@ -76,6 +76,62 @@ def test_named_targets_validate(target):
     target.validate(tol=1e-7)
 
 
+# --- closed-form densities against scipy -----------------------------------------------
+
+# each named target beside the scipy law of the same centered variable; the
+# uniform target has no parameters, so it appears once
+DENSITY_CASES = [
+    (normal_target(1.0), scipy.stats.norm(scale=1.0)),
+    (normal_target(2.5), scipy.stats.norm(scale=math.sqrt(2.5))),
+    (student_target(5.0), scipy.stats.t(5.0)),
+    (student_target(3.5), scipy.stats.t(3.5)),
+    (pareto_target(3.0), scipy.stats.pareto(3.0, loc=-1.0 - 1.0 / 2.0)),
+    (pareto_target(4.5), scipy.stats.pareto(4.5, loc=-1.0 - 1.0 / 3.5)),
+    (gamma_target(2.0, 1.0), scipy.stats.gamma(2.0, scale=1.0, loc=-2.0)),
+    (gamma_target(0.5, 0.5), scipy.stats.gamma(0.5, scale=2.0, loc=-1.0)),
+    (inverse_gamma_target(3.0, 5.0),
+     scipy.stats.invgamma(5.0, scale=3.0, loc=-3.0 / 4.0)),
+    (inverse_gamma_target(0.7, 2.5),
+     scipy.stats.invgamma(2.5, scale=0.7, loc=-0.7 / 1.5)),
+    (fdist_target(6.0, 10.0), scipy.stats.f(6.0, 10.0, loc=-10.0 / 8.0)),
+    (fdist_target(2.0, 7.0), scipy.stats.f(2.0, 7.0, loc=-7.0 / 5.0)),
+    (uniform_centered_target(), scipy.stats.uniform(loc=-0.5)),
+    (beta_target(2.0, 3.0), scipy.stats.beta(2.0, 3.0, loc=-2.0 / 5.0)),
+    (beta_target(0.5, 0.5), scipy.stats.beta(0.5, 0.5, loc=-0.5)),
+]
+DENSITY_IDS = [f"{t.name}{t.params}" for t, _ in DENSITY_CASES]
+
+
+@pytest.mark.parametrize("target, law", DENSITY_CASES, ids=DENSITY_IDS)
+def test_density_matches_scipy_pdf(target, law):
+    xs = law.ppf(np.linspace(0.0005, 0.9995, 2001))
+    want = law.pdf(xs)
+    got = target.density(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert float(np.max(np.abs(got - want) / want)) <= 1e-13
+    floats = [target.density(float(x)) for x in xs]
+    assert all(type(v) is float for v in floats)
+    assert float(np.max(np.abs(np.array(floats) - want) / want)) <= 1e-13
+    block = target.density(xs[:12].reshape(3, 4))
+    assert block.shape == (3, 4)
+    assert np.array_equal(block.ravel(), got[:12])
+
+
+@pytest.mark.parametrize("target, law", DENSITY_CASES, ids=DENSITY_IDS)
+def test_density_vanishes_outside_support_and_matches_at_endpoints(target, law):
+    l, u = target.support
+    outside = [v for v in (l - 1.0, u + 1.0) if math.isfinite(v)]
+    outside += [-math.inf, math.inf]
+    assert all(target.density(x) == 0.0 for x in outside)
+    assert np.all(target.density(np.array(outside)) == 0.0)
+    for edge in (e for e in (l, u) if math.isfinite(e)):
+        want = float(law.pdf(edge))
+        if math.isfinite(want):
+            assert math.isclose(target.density(edge), want, rel_tol=1e-13)
+            assert math.isclose(float(target.density(np.array([edge]))[0]), want,
+                                rel_tol=1e-13)
+
+
 def test_coefficient_examples():
     assert normal_target(1.0).coeff.as_tuple() == (0.0, 0.0, 2.0)
     al, be, ga = student_target(5.0).coeff.as_tuple()
@@ -280,6 +336,23 @@ def test_drift_is_mean_minus_x():
     assert t.validate()
 
 
+def test_stein_solution_without_cdf_pivots_at_the_mean():
+    # Beta(2, 3) moved to (5, 10), with no cdf or ppf: the nearer tail must be
+    # chosen around its mean 7, not around 0, or the left end loses all digits
+    def density(x):
+        y = (x - 5.0) / 5.0
+        return np.where((y > 0.0) & (y < 1.0), 12.0 * y * (1.0 - y) ** 2 / 5.0, 0.0)
+
+    t = TargetMeasure(name="shifted_beta", support=(5.0, 10.0), density=density,
+                      coeff=DiffusionCoefficient.polynomial(-0.4, 6.0, -20.0),
+                      mean=7.0)
+    assert t.validate()
+    xs = t.interior_grid(60)
+    for f in (lambda y: y, lambda y: y**2):
+        res = stein_solution_residual(t, f, xs)
+        assert float(np.max(np.abs(res))) < 1e-6
+
+
 def test_stein_solution_mean_value_recorded():
     t = beta_target(2.0, 2.0)
     g = stein_solution(t, lambda y: y**2)
@@ -372,3 +445,22 @@ def test_target_from_density_grid_rejects_bad_grids():
         target_from_density_grid(xs, -np.ones_like(xs), (0.0, 1.0))
     with pytest.raises(ValueError):
         target_from_density_grid(xs[::-1], np.ones_like(xs), (0.0, 1.0))
+
+
+def test_grid_density_float_path_equals_array_path():
+    # the float path evaluates the log-PCHIP piece itself; it must agree with
+    # PchipInterpolator on knots, midpoints and just inside both ends
+    grids = [np.linspace(-8.0, 8.0, 129), np.linspace(0.05, 12.0, 90)]
+    for xs, ps in ((grids[0], scipy.stats.norm.pdf(grids[0])),
+                   (grids[1], np.exp(-((np.log(grids[1]) - 0.2) ** 2) / 0.5) / grids[1])):
+        t = target_from_density_grid(xs, ps)
+        lo, hi = t.support
+        pts = np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1]), [lo + 1e-12, hi - 1e-12]])
+        arr = t.density(pts)
+        floats = [t.density(float(x)) for x in pts]
+        assert all(type(v) is float for v in floats)
+        assert np.all(arr > 0.0)
+        assert float(np.max(np.abs(np.array(floats) - arr) / arr)) <= 1e-15
+        outside = [lo - 1.0, lo - 1e-12, hi + 1e-12, hi + 1.0]
+        assert all(t.density(x) == 0.0 for x in outside)
+        assert np.all(t.density(np.array(outside)) == 0.0)
