@@ -115,7 +115,9 @@ class SymmetricKernel:
 
     ``entries`` maps each canonical (sorted) multi-index to the common value
     of the tensor on that orbit; indices missing from the map are zero.
-    Treat instances as immutable: all operations return new kernels.
+    Treat instances as immutable: all operations return new kernels, and
+    ``self_contraction`` memoizes on the assumption that ``entries`` is
+    never mutated.
     """
 
     dim: int
@@ -133,6 +135,7 @@ class SymmetricKernel:
             if val != 0.0:
                 clean[idx] = val
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "_self_contractions", {})
 
     # --- constructors -------------------------------------------------
     @staticmethod
@@ -216,6 +219,13 @@ class SymmetricKernel:
     def scaled_norm_sq(self):
         """n! ||f||^2 = E[I_n(f)^2], the chaos-isometric squared norm."""
         return math.factorial(self.order) * self.norm_sq()
+
+    def self_contraction(self, p):
+        """f ~x_p f, computed on first use and kept on this kernel."""
+        memo = self._self_contractions
+        if p not in memo:
+            memo[p] = contract(self, self, p).symmetrized()
+        return memo[p]
 
 
 def symmetrize(raw, dim=None, order=None):
@@ -431,6 +441,11 @@ def eval_multiple_integral(f, x):
     return float(total[0]) if single else total
 
 
+def _contracted(f, g, r):
+    """f ~x_r g, read from f's memo when g is f itself."""
+    return f.self_contraction(r) if f is g else contract(f, g, r).symmetrized()
+
+
 def chaos_product(F, G):
     """Product of two chaos vectors via the multiplication formula
 
@@ -447,7 +462,7 @@ def chaos_product(F, G):
         for m, gm in G.components.items():
             for r in range(min(n, m) + 1):
                 coef = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
-                h = coef * contract(fn, gm, r).symmetrized()
+                h = coef * _contracted(fn, gm, r)
                 lvl = n + m - 2 * r
                 out[lvl] = out[lvl] + h if lvl in out else h
     return ChaosVector(F.dim, out)
@@ -495,7 +510,7 @@ def malliavin_inner(F, G):
                     n * m * math.factorial(r)
                     * math.comb(n - 1, r) * math.comb(m - 1, r)
                 )
-                h = coef * contract(fn, gm, r + 1).symmetrized()
+                h = coef * _contracted(fn, gm, r + 1)
                 lvl = n + m - 2 - 2 * r
                 out[lvl] = out[lvl] + h if lvl in out else h
     return ChaosVector(F.dim, out)

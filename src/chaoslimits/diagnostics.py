@@ -32,7 +32,7 @@ from .chaos import (
     ChaosVector,
     SymmetricKernel,
     chaos_product,
-    contract,
+    contract,  # noqa: F401  (re-exported as chaoslimits.diagnostics.contract)
     derivative_slices,
     eval_multiple_integral,
     expect_product,
@@ -76,44 +76,20 @@ def c_n(n):
     return math.factorial(n // 2) ** 3 / math.factorial(n) ** 2
 
 
-class _SelfContractions(dict):
-    """p -> f ~x_p f for one kernel f, each computed on first use.
-
-    An instance lives for one public call, or for one family member in
-    ``run_family_diagnostics``, so that the diagnostics sharing a
-    contraction compute it once.
-    """
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, p):
-        self[p] = h = contract(self.f, self.f, p).symmetrized()
-        return h
-
-
 def moment3(f):
     """E[I_n(f)^3]; zero for odd n, else (n!^3 / (n/2)!^3) <f, f ~x_{n/2} f>."""
-    return _moment3(f, _SelfContractions(f))
-
-
-def _moment3(f, sc):
     n = f.order
     if n == 0:
         return f.entries.get((), 0.0) ** 3
     if n % 2:
         return 0.0
-    return math.factorial(n) ** 3 / math.factorial(n // 2) ** 3 * f.inner(sc[n // 2])
+    return (math.factorial(n) ** 3 / math.factorial(n // 2) ** 3
+            * f.inner(f.self_contraction(n // 2)))
 
 
 def moment4(f):
     """E[I_n(f)^4] = 3 (n! ||f||^2)^2 + 3n sum_p (p-1)! C(n-1,p-1)^2 p!
     C(n,p)^2 (2n-2p)! ||f ~x_p f||^2."""
-    return _moment4(f, _SelfContractions(f))
-
-
-def _moment4(f, sc):
     n = f.order
     if n == 0:
         return f.entries.get((), 0.0) ** 4
@@ -125,7 +101,7 @@ def _moment4(f, sc):
             * math.factorial(p) * math.comb(n, p) ** 2
             * math.factorial(2 * n - 2 * p)
         )
-        total += 3.0 * n * coef * sc[p].norm_sq()
+        total += 3.0 * n * coef * f.self_contraction(p).norm_sq()
     return total
 
 
@@ -304,10 +280,7 @@ def stein_residual_l2(f, coeff):
     contribute (1/4) E[I_k(g_k)^2]; each level enters with its chaos-isometric
     weight k! on the symmetrized kernel.
     """
-    return _stein_residual_l2(f, _a_of_F(f, coeff), _SelfContractions(f))
-
-
-def _stein_residual_l2(f, aF, sc):
+    aF = _a_of_F(f, coeff)
     n = f.order
     if n == 0:
         raise ValueError("needs a kernel of order >= 1")
@@ -319,7 +292,7 @@ def _stein_residual_l2(f, aF, sc):
             coefficient = (
                 n * math.factorial(n - 1 - k // 2) * math.comb(n - 1, k // 2) ** 2
             )
-            bracket = 0.5 * gk - coefficient * sc[n - k // 2]
+            bracket = 0.5 * gk - coefficient * f.self_contraction(n - k // 2)
             total += math.factorial(k) * bracket.norm_sq()
         else:
             total += 0.25 * math.factorial(k) * gk.norm_sq()
@@ -382,10 +355,7 @@ def stein_discrepancy_l1_mc(f, coeff, samples, seed):
 
 def prop24_gap(f, coeff):
     """|(1/4) E[a(F)^2] - n^{-2} E[||DF||^4]|, all in exact chaos arithmetic."""
-    return _prop24_gap(f, _a_of_F(f, coeff))
-
-
-def _prop24_gap(f, aF):
+    aF = _a_of_F(f, coeff)
     n = f.order
     m = malliavin_inner(f, f)
     ea2 = expect_product(aF, aF)
@@ -400,38 +370,24 @@ def prop24_gap_mc(f, coeff, samples, seed):
 
 def lemma_l2_combination(f, coeff):
     """E[F^4 - (3/2) a(F) F^2], exact: vanishes at the Gamma fixed point."""
-    sc = _SelfContractions(f)
-    return _lemma_l2_combination(
-        coeff, f.scaled_norm_sq(), _moment3(f, sc), _moment4(f, sc)
-    )
-
-
-def _lemma_l2_combination(coeff, ef2, ef3, ef4):
     alpha, beta, gamma = _as_coeff_tuple(coeff)
-    return (1.0 - 1.5 * alpha) * ef4 - 1.5 * beta * ef3 - 1.5 * gamma * ef2
+    return ((1.0 - 1.5 * alpha) * moment4(f) - 1.5 * beta * moment3(f)
+            - 1.5 * gamma * f.scaled_norm_sq())
 
 
 def gamma_kernel_gap(f, lam):
     """|| (2/lam) c_n f - f ~x_{n/2} f ||: zero iff f is a Gamma fixed point."""
-    return _gamma_kernel_gap(f, lam, _SelfContractions(f))
-
-
-def _gamma_kernel_gap(f, lam, sc):
     n = f.order
-    g = (2.0 / lam) * c_n(n) * f - sc[n // 2]
+    g = (2.0 / lam) * c_n(n) * f - f.self_contraction(n // 2)
     return g.norm()
 
 
 def lemma_l11_gap(f, coeff):
     """|<f, f ~x_{n/2} f> - (beta/(1-alpha)) c_n ||f||^2| for even order."""
-    return _lemma_l11_gap(f, coeff, _SelfContractions(f))
-
-
-def _lemma_l11_gap(f, coeff, sc):
     alpha, beta, _ = _as_coeff_tuple(coeff)
     if alpha == 1.0:
         raise ValueError("alpha = 1 is excluded")
-    half = sc[f.order // 2]
+    half = f.self_contraction(f.order // 2)
     return abs(f.inner(half) - beta / (1.0 - alpha) * c_n(f.order) * f.norm_sq())
 
 
@@ -531,9 +487,7 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
     for j, m in enumerate(ms):
         f = family(m)
         n = f.order
-        sc = _SelfContractions(f)
-        aF = _a_of_F(f, coeff)
-        ef2, ef3, ef4 = f.scaled_norm_sq(), _moment3(f, sc), _moment4(f, sc)
+        ef2, ef3, ef4 = f.scaled_norm_sq(), moment3(f), moment4(f)
         rec = {
             "m": int(m),
             "dim": f.dim,
@@ -541,17 +495,17 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
             "ef3": ef3,
             "ef4": ef4,
             "contraction_norms": {
-                p: math.sqrt(sc[p].norm_sq()) for p in range(1, n)
+                p: math.sqrt(f.self_contraction(p).norm_sq()) for p in range(1, n)
             },
-            "stein_residual_l2_chaos": _stein_residual_l2(f, aF, sc),
-            "prop24_gap_chaos": _prop24_gap(f, aF),
-            "lemma_l2_combination": _lemma_l2_combination(coeff, ef2, ef3, ef4),
+            "stein_residual_l2_chaos": stein_residual_l2(f, coeff),
+            "prop24_gap_chaos": prop24_gap(f, coeff),
+            "lemma_l2_combination": lemma_l2_combination(f, coeff),
         }
         if n % 2 == 0:
             if lam_match is not None:
-                rec["gamma_kernel_gap"] = _gamma_kernel_gap(f, lam_match, sc)
+                rec["gamma_kernel_gap"] = gamma_kernel_gap(f, lam_match)
             if alpha != 1.0:
-                rec["lemma_l11_gap"] = _lemma_l11_gap(f, coeff, sc)
+                rec["lemma_l11_gap"] = lemma_l11_gap(f, coeff)
         if mc_samples:
             sub = int(seed) + 1000003 * j
             (rec["stein_residual_l2_mc"], rec["prop24_gap_mc"],

@@ -501,11 +501,16 @@ def target_from_density_grid(xs, ps, support=None, name="custom"):
 
 
 def _inset_bounds(support):
-    """Support shrunk by _INSET_FRAC of its length at each finite end."""
+    """Support shrunk at each finite end by _INSET_FRAC of its length, or of
+    max(1, |end|) when the other end is infinite."""
     l, u = support
-    eps = _INSET_FRAC * (u - l) if math.isfinite(l) and math.isfinite(u) else 0.0
-    return (l + eps if math.isfinite(l) else -np.inf,
-            u - eps if math.isfinite(u) else np.inf)
+    span = u - l
+
+    def eps(end):
+        return _INSET_FRAC * (span if math.isfinite(span) else max(1.0, abs(end)))
+
+    return (l + eps(l) if math.isfinite(l) else -np.inf,
+            u - eps(u) if math.isfinite(u) else np.inf)
 
 
 def _tail_quotient(weight, den, support, left):
@@ -539,20 +544,11 @@ def coeff_from_density(density, support, mean=0.0, cdf=None):
     """Numeric diffusion coefficient from (*): a(x) = 2 int_l^x b p / p(x).
 
     The drift is b(x) = mean - x.  The tail is chosen by ``cdf(x) <= 0.5``,
-    or, without a cdf, by the side of a pivot inside the support.
+    or, without a cdf, by ``x <= mean``.
     """
     l, u = float(support[0]), float(support[1])
-
     if cdf is None:
-        if math.isfinite(l) and math.isfinite(u):
-            pivot = 0.5 * (l + u)
-        elif math.isfinite(l):
-            pivot = l + 1.0
-        elif math.isfinite(u):
-            pivot = u - 1.0
-        else:
-            pivot = 0.0
-        left = lambda x: x <= pivot
+        left = lambda x: x <= mean
     else:
         left = lambda x: cdf(x) <= 0.5
     bp = lambda y: (mean - y) * density(y)

@@ -399,6 +399,34 @@ def test_run_family_diagnostics_clt_large_m():
     assert math.isclose(rec["stein_residual_l2_chaos"], 2.0 / m, rel_tol=1e-13)
 
 
+def test_run_family_diagnostics_contracts_each_member_once_per_order(monkeypatch):
+    import chaoslimits.chaos
+    import chaoslimits.diagnostics
+
+    calls = []
+    original = chaoslimits.chaos.contract
+
+    def counting(f, g, r):
+        if f is g:
+            calls.append((id(f), r))
+        return original(f, g, r)
+
+    monkeypatch.setattr(chaoslimits.chaos, "contract", counting)
+    monkeypatch.setattr(chaoslimits.diagnostics, "contract", counting)
+    target = named_target("beta", a=2.0, b=3.0)  # alpha != 0: a(F) needs F^2
+    run_family_diagnostics(gaussian_clt_family(), [8], target)
+    assert sorted(r for _, r in calls) == [0, 1, 2]
+
+
+def test_self_contraction_memo_stays_out_of_eq_and_repr():
+    entries = {(0, 0): 0.5, (0, 1): -1.0, (1, 2): 0.25}
+    used, fresh = SymmetricKernel(3, 2, entries), SymmetricKernel(3, 2, entries)
+    h = used.self_contraction(1)
+    assert used.self_contraction(1) is h
+    assert h == contract(fresh, fresh, 1).symmetrized()
+    assert used == fresh and repr(used) == repr(fresh)
+
+
 def test_run_family_diagnostics_guards():
     with pytest.raises(ValueError, match="seed"):
         run_family_diagnostics(gaussian_clt_family(), [2], normal_target(1.0),

@@ -10,6 +10,7 @@ from chaoslimits import (
     DiffusionCoefficient,
     TargetMeasure,
     beta_target,
+    coeff_from_density,
     fdist_target,
     gamma_target,
     inverse_gamma_target,
@@ -351,6 +352,31 @@ def test_stein_solution_without_cdf_pivots_at_the_mean():
     for f in (lambda y: y, lambda y: y**2):
         res = stein_solution_residual(t, f, xs)
         assert float(np.max(np.abs(res))) < 1e-6
+
+
+def test_stein_solution_residual_on_half_infinite_support():
+    # Gamma(2, 1) moved to (5, inf): the density vanishes at the one finite
+    # end, so the stencil must stay strictly inside it
+    def density(x):
+        y = np.asarray(x, dtype=float) - 5.0
+        return np.where(y > 0.0, y * np.exp(-np.maximum(y, 0.0)), 0.0)
+
+    t = TargetMeasure(name="shifted_gamma", support=(5.0, np.inf), density=density,
+                      coeff=DiffusionCoefficient.polynomial(0.0, 2.0, -10.0),
+                      mean=7.0)
+    xs = t.interior_grid(40)
+    for f in (lambda y: y, lambda y: y**2):
+        res = stein_solution_residual(t, f, xs)
+        assert float(np.max(np.abs(res))) <= 1e-6
+
+
+def test_coeff_from_density_without_cdf_splits_at_the_mean():
+    # N(100, 1) with no cdf: a(x) = 2 everywhere; the nearer tail must be
+    # chosen around the mean 100, not around 0 (which gave a(91) = -2160)
+    density = lambda x: np.exp(-0.5 * (np.asarray(x) - 100.0) ** 2) / math.sqrt(2 * math.pi)
+    a = coeff_from_density(density, (-np.inf, np.inf), mean=100.0)
+    xs = np.linspace(91.0, 109.0, 19)
+    assert np.max(np.abs(a(xs) - 2.0)) <= 1e-6
 
 
 def test_stein_solution_mean_value_recorded():
