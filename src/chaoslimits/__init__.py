@@ -41,7 +41,6 @@ from .targets import (
     fdist_target,
     gamma_target,
     inverse_gamma_target,
-    mble_inner_product,
     moment_recursion,
     normal_target,
     pareto_target,

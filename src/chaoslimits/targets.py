@@ -18,16 +18,15 @@ pair (a, b) is A h = (1/2) a h' + b h; ``stein_solution`` inverts it and
 ``stein_identity_residual`` integrates it against the target.
 
 Densities are closed forms: every named target evaluates its log-density
-with ``math`` on a Python float (and with numpy on an array), and a grid
-target evaluates its log-PCHIP piece by piece on a float, so an adaptive
+with ``math`` on a Python float (and with numpy on an array), so an adaptive
 ``quad`` pays about a microsecond per node.  The scipy distributions serve
 the cdf, the ppf and exact sampling, and are the tests' reference density.
+A grid target evaluates its log-PCHIP piece by piece on a float, and every
+integral against it (mass, mean, cdf, a(x), Stein solutions) reads one
+Gauss-Legendre table of its pieces instead of calling ``quad``.
 
 ``poly_moments`` / ``moment_recursion`` give the closed moment ladder that a
-quadratic coefficient forces on the target, and ``mble_inner_product``
-evaluates <D(-L)^{-1}(F - EF), DF> in closed form for the four exactly
-solvable functionals (linear, quadratic, lognormal and exp-of-chi-square
-functionals of a Gaussian).
+quadratic coefficient forces on the target.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "poly_moments",
     "moment_recursion",
     "moment_table",
-    "mble_inner_product",
     "NAMED_TARGETS",
 ]
 
@@ -142,6 +140,17 @@ class TargetMeasure:
     moment_bound: float = math.inf
     mean: float = 0.0
     mean_shift: float = 0.0  # EX of the *uncentered* parent law, for reference
+    # a grid target's table route (``_LogPchipTable.cumulative``); None: quad
+    _cumulative: object = field(default=None, repr=False, compare=False)
+
+    def _tails(self, fn):
+        """(x, left) -> int_l^x fn p if left, else -int_x^u fn p: from a grid
+        target's table, or by adaptive quad of fn(y) * density(y)."""
+        return (self._cumulative or _quad_cumulative(self.density, self.support))(fn)
+
+    def _integral(self, fn):
+        """int fn p over the support."""
+        return self._tails(fn)(self.support[1], True)
 
     def drift(self, x):
         return self.mean - np.asarray(x, dtype=float)
@@ -150,11 +159,19 @@ class TargetMeasure:
         return k < self.moment_bound
 
     def interior_grid(self, n=201):
-        """Quantile-spaced interior points (falls back to linear spacing)."""
+        """Quantile-spaced interior points (falls back to linear spacing).
+
+        Without a ppf, a lone infinite end is replaced by a point on its side
+        of the mean, 5 max(1, |mean - finite end|) away; with both ends
+        infinite the span is (-10, 10).
+        """
         qs = np.linspace(0.005, 0.995, n)
         if self.ppf is not None:
             return np.asarray(self.ppf(qs), dtype=float)
         l, u = self.support
+        if math.isfinite(l) != math.isfinite(u):
+            reach = 5.0 * max(1.0, abs(self.mean - (l if math.isfinite(l) else u)))
+            l, u = (l, self.mean + reach) if math.isfinite(l) else (self.mean - reach, u)
         lo = l if math.isfinite(l) else -10.0
         hi = u if math.isfinite(u) else 10.0
         eps = 1e-6 * (hi - lo)
@@ -171,17 +188,15 @@ class TargetMeasure:
         return math.sqrt(max(m2, 1e-12))
 
     def moment(self, k):
-        """E[X^k] by quadrature."""
-        l, u = self.support
-        return _quad(lambda y: y**k * self.density(y), l, u)
+        """E[X^k], by the grid's table or by quadrature."""
+        return self._integral(lambda y: y**k)
 
     def validate(self, tol=1e-8):
         """Check normalization, centered drift and positivity of a."""
-        l, u = self.support
-        mass = _quad(self.density, l, u)
+        mass = self._integral(lambda y: 1.0)
         if abs(mass - 1.0) > tol:
             raise ValueError(f"density mass {mass!r} is not 1 within {tol}")
-        bint = _quad(lambda y: self.drift(y) * self.density(y), l, u)
+        bint = self._integral(self.drift)
         if abs(bint) > tol:
             raise ValueError(f"drift does not integrate to 0: {bint!r}")
         grid = self.interior_grid()
@@ -423,13 +438,100 @@ def named_target(name, **params):
     return ctor(**params)
 
 
+_GL_PIECE_NODES, _GL_PIECE_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GL_PIECE_T = 0.5 * (_GL_PIECE_NODES + 1.0)  # the nodes on [0, 1]
+_GL_PIECE_W = 0.5 * _GL_PIECE_WEIGHTS
+
+
+class _LogPchipTable:
+    """Integrals of fn p for a density p = exp(log-PCHIP) / mass.
+
+    20 Gauss-Legendre nodes on each piece of the interpolant, rescaled to a
+    partial piece [x_k, x] or [x, x_{k+1}].  Inside one piece p is the
+    exponential of a cubic, so the rule is exact to rounding for smooth fn.
+    """
+
+    def __init__(self, logp):
+        self.logp = logp
+        self.breaks, self.coefs = logp.x, logp.c  # PPoly order: c3, c2, c1, c0
+        # Python lists serve one point at a time (a chain step, a Stein value)
+        self._break_list, self._piece_list = logp.x.tolist(), logp.c.T.tolist()
+        self.last = len(self.breaks) - 2
+        self.mass = 1.0  # _rule divides by it: 1 while the raw mass is summed
+        k = np.arange(self.last + 1)
+        self.nodes, self.weights = self._rule(k, self.breaks[:-1], self.breaks[1:])
+        self.mass = float(np.sum(self.weights))
+        self.weights = self.weights / self.mass
+
+    def density(self, x):
+        """p(x); 0 outside the grid span."""
+        lo, hi = self._break_list[0], self._break_list[-1]
+        if isinstance(x, float):
+            if not lo <= x <= hi:
+                return math.nan if math.isnan(x) else 0.0
+            # the piece and the sum in PPoly's own order, so both paths agree
+            i = min(bisect.bisect_right(self._break_list, x) - 1, self.last)
+            c3, c2, c1, c0 = self._piece_list[i]
+            s = x - self._break_list[i]
+            s2 = s * s
+            return math.exp(c0 + c1 * s + c2 * s2 + c3 * (s2 * s)) / self.mass
+        x = np.asarray(x, dtype=float)
+        out = np.exp(self.logp(np.clip(x, lo, hi))) / self.mass
+        out = np.where((x < lo) | (x > hi), 0.0, out)
+        return out if out.ndim else float(out)
+
+    def _rule(self, k, a, b):
+        """Nodes and density-weighted weights of [a, b] inside piece k
+        (an int k with float ends, or arrays of one shape)."""
+        if isinstance(k, int):
+            start, (c3, c2, c1, c0) = self._break_list[k], self._piece_list[k]
+        else:
+            a, b = a[..., None], b[..., None]
+            start = self.breaks[k][..., None]
+            c3, c2, c1, c0 = self.coefs[:, k, None]
+        s = (a - start) + (b - a) * _GL_PIECE_T
+        p = np.exp(c0 + s * (c1 + s * (c2 + s * c3)))
+        return start + s, ((b - a) / self.mass) * (_GL_PIECE_W * p)
+
+    def cumulative(self, fn):
+        """(x, left) -> int_lo^x fn p if left, else -int_x^hi fn p.
+
+        Per-piece integrals are summed from both ends, so a tail reads the
+        cumulative sum of its own side plus one partial piece, with no
+        cancellation.  ``fn`` is evaluated on arrays of nodes; x is a float
+        or an array.
+        """
+        pieces = (fn(self.nodes) * self.weights).sum(axis=-1)
+        left_sum = np.concatenate([[0.0], np.cumsum(pieces)])
+        right_sum = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
+        breaks, last = self._break_list, self.last
+
+        def tail(x, left):
+            if isinstance(x, float) or np.ndim(x) == 0:
+                x = float(x)
+                k = min(max(bisect.bisect_right(breaks, x) - 1, 0), last)
+                ends = (breaks[k], x) if left else (x, breaks[k + 1])
+            else:
+                x = np.asarray(x, dtype=float)
+                k = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, last)
+                ends = (self.breaks[k], x) if left else (x, self.breaks[k + 1])
+            y, w = self._rule(k, *ends)
+            part = (fn(y) * w).sum(axis=-1)
+            out = left_sum[k] + part if left else -(right_sum[k + 1] + part)
+            return out if np.ndim(out) else float(out)
+
+        return tail
+
+
 def target_from_density_grid(xs, ps, support=None, name="custom"):
     """Target from a tabulated density, interpolated monotonically in log space.
 
     The grid must be strictly increasing with positive densities; the support
     defaults to the grid span and, if given, must agree with it.  The density
-    is renormalized numerically; the drift is b(x) = mean - x so that (*)
-    stays consistent for uncentered grids.
+    is renormalized; the drift is b(x) = mean - x so that (*) stays
+    consistent for uncentered grids.  The mass, the mean, the cdf, a(x), the
+    moments and the Stein solutions all integrate on one Gauss-Legendre table
+    of the log-PCHIP pieces (``_LogPchipTable``), with no adaptive quad.
     """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -444,45 +546,20 @@ def target_from_density_grid(xs, ps, support=None, name="custom"):
         l, u = float(support[0]), float(support[1])
         if abs(l - lo) > 1e-12 * max(1.0, abs(lo)) or abs(u - hi) > 1e-12 * max(1.0, abs(hi)):
             raise ValueError("support must coincide with the density grid span")
-    logp = interpolate.PchipInterpolator(xs, np.log(ps), extrapolate=False)
-    breaks, pieces = logp.x.tolist(), logp.c.T.tolist()
-    last = len(pieces) - 1
-
-    def raw_density(x):
-        if isinstance(x, float):
-            if not lo <= x <= hi:
-                return math.nan if math.isnan(x) else 0.0
-            # the piece and the sum in PPoly's own order, so both paths agree
-            i = min(bisect.bisect_right(breaks, x) - 1, last)
-            c3, c2, c1, c0 = pieces[i]
-            s = x - breaks[i]
-            s2 = s * s
-            return math.exp(c0 + c1 * s + c2 * s2 + c3 * (s2 * s))
-        x = np.asarray(x, dtype=float)
-        out = np.exp(logp(np.clip(x, lo, hi)))
-        out = np.where((x < lo) | (x > hi), 0.0, out)
-        return out if out.ndim else float(out)
-
-    mass = _quad(raw_density, lo, hi)
-
-    def density(x):
-        return raw_density(x) / mass
-
-    # cumulative distribution on a refined knot set, then monotone interp
-    knots = np.unique(np.concatenate([xs, np.linspace(lo, hi, 257)]))
-    cums = np.zeros(len(knots))
-    for i in range(1, len(knots)):
-        cums[i] = cums[i - 1] + _quad(density, knots[i - 1], knots[i])
-    cums /= cums[-1]
-    cums = np.maximum.accumulate(cums)
-    cdf_interp = interpolate.PchipInterpolator(knots, cums, extrapolate=False)
+    table = _LogPchipTable(
+        interpolate.PchipInterpolator(xs, np.log(ps), extrapolate=False))
+    density = table.density
+    mass_below = table.cumulative(lambda y: 1.0)
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        out = np.asarray(cdf_interp(np.clip(x, lo, hi)), dtype=float)
+        out = np.clip(mass_below(np.clip(x, lo, hi), True), 0.0, 1.0)
         out = np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, out))
         return out if out.ndim else float(out)
 
+    # a monotone inverse of the exact cdf on a refined knot set
+    knots = np.unique(np.concatenate([xs, np.linspace(lo, hi, 257)]))
+    cums = np.maximum.accumulate(cdf(knots))
     keep = np.concatenate([[True], np.diff(cums) > 1e-15])
     ppf_interp = interpolate.PchipInterpolator(cums[keep], knots[keep],
                                                extrapolate=False)
@@ -492,11 +569,15 @@ def target_from_density_grid(xs, ps, support=None, name="custom"):
         out = np.asarray(ppf_interp(q), dtype=float)
         return out if out.ndim else float(out)
 
-    mean = _quad(lambda y: y * density(y), lo, hi)
-    coeff = coeff_from_density(density, (lo, hi), mean=mean, cdf=cdf)
+    mean = table.cumulative(lambda y: y)(hi, True)
+    median = ppf(0.5)
+    coeff = DiffusionCoefficient.numeric(_tail_quotient(
+        lambda y: mean - y, table.cumulative, density, (lo, hi),
+        lambda x: x <= median))
     return TargetMeasure(
         name=name, support=(lo, hi), density=density, coeff=coeff, cdf=cdf,
         ppf=ppf, params={"grid_points": len(xs)}, mean=mean, mean_shift=mean,
+        _cumulative=table.cumulative,
     )
 
 
@@ -513,19 +594,34 @@ def _inset_bounds(support):
             u - eps(u) if math.isfinite(u) else np.inf)
 
 
-def _tail_quotient(weight, den, support, left):
-    """x -> 2 int_l^x weight / den(x), with x clamped to the inset support.
+def _quad_cumulative(density, support):
+    """fn -> ((x, left) -> int_l^x fn p if left, else -int_x^u fn p), each
+    tail one adaptive quad of fn(y) * density(y)."""
+    l, u = support
 
-    ``weight`` integrates to 0 over the support, so the partial integral is
-    taken from the nearer tail (``left(x)`` picks the lower one), which keeps
-    the quotient conditioned far into either tail.  Accepts scalars or arrays.
+    def cumulative(fn):
+        weight = lambda y: fn(y) * density(y)
+        return lambda x, left: _quad(weight, l, x) if left else -_quad(weight, x, u)
+
+    return cumulative
+
+
+def _tail_quotient(fn, cumulative, den, support, left):
+    """x -> 2 int_l^x fn p / den(x), with x clamped to the inset support.
+
+    ``cumulative(fn)`` gives the signed tail integrals of fn against the
+    density (``_quad_cumulative`` or a grid's table).  fn p integrates to 0
+    over the support, so the partial integral is taken from the nearer tail
+    (``left(x)`` picks the lower one), which keeps the quotient conditioned
+    far into either tail.  Accepts scalars or arrays.
     """
     l, u = float(support[0]), float(support[1])
     lo, hi = _inset_bounds((l, u))
+    tail = cumulative(fn)
 
     def one(x):
         x = min(max(float(x), lo), hi)
-        num = _quad(weight, l, x) if left(x) else -_quad(weight, x, u)
+        num = tail(x, left(x))
         d = den(x)
         if d <= 0.0 or not np.isfinite(d):
             raise ValueError(f"denominator {d!r} is not positive at x={x!r}")
@@ -544,15 +640,15 @@ def coeff_from_density(density, support, mean=0.0, cdf=None):
     """Numeric diffusion coefficient from (*): a(x) = 2 int_l^x b p / p(x).
 
     The drift is b(x) = mean - x.  The tail is chosen by ``cdf(x) <= 0.5``,
-    or, without a cdf, by ``x <= mean``.
+    or, without a cdf, by ``x <= mean``.  Every tail is one adaptive quad.
     """
     l, u = float(support[0]), float(support[1])
     if cdf is None:
         left = lambda x: x <= mean
     else:
         left = lambda x: cdf(x) <= 0.5
-    bp = lambda y: (mean - y) * density(y)
-    return DiffusionCoefficient.numeric(_tail_quotient(bp, density, (l, u), left))
+    return DiffusionCoefficient.numeric(_tail_quotient(
+        lambda y: mean - y, _quad_cumulative(density, (l, u)), density, (l, u), left))
 
 
 def stein_solution(target, f):
@@ -561,13 +657,13 @@ def stein_solution(target, f):
     g(x) = 2 (int_l^x (f - m_f) p) / (a(x) p(x)), evaluated from the nearer
     tail: the lower one up to the median (the mean without a ppf).  The
     solution is the one vanishing appropriately at both endpoints.
-    Raises ValueError where a(x) p(x) is not positive.
+    Raises ValueError where a(x) p(x) is not positive.  On a grid target
+    f is evaluated on arrays of table nodes, so it must accept arrays.
     """
-    l, u = target.support
     density = target.density
-    m_f = _quad(lambda y: f(y) * density(y), l, u)
+    m_f = target._integral(f)
     pivot = float(target.ppf(0.5)) if target.ppf is not None else target.mean
-    g = _tail_quotient(lambda y: (f(y) - m_f) * density(y),
+    g = _tail_quotient(lambda y: f(y) - m_f, target._tails,
                        lambda x: target.coeff(x) * density(x),
                        target.support, lambda x: x <= pivot)
     g.mean_value = m_f
@@ -615,15 +711,14 @@ def stein_solution_residual(target, f, xs):
 
 
 def stein_identity_residual(target, h, dh=None):
-    """E[(1/2) a(X) h'(X) + b(X) h(X)] under the target, by quadrature.
+    """E[(1/2) a(X) h'(X) + b(X) h(X)] under the target, by quadrature
+    (on a grid target's table, with h and dh evaluated on node arrays).
 
     Zero (to quadrature accuracy) for every admissible h exactly when the
     target is the invariant law of the (a, b) diffusion.  ``dh`` defaults to
     a five-point central difference.
     """
-    op = _stein_operator(target, h, dh)
-    l, u = target.support
-    return _quad(lambda y: op(y) * target.density(y), l, u)
+    return target._integral(_stein_operator(target, h, dh))
 
 
 # --- moments forced by a quadratic coefficient ------------------------------
@@ -676,73 +771,3 @@ def moment_table(alpha, beta, gamma, max_order):
     while len(moments) <= max_order:
         moments.append(moment_recursion(alpha, beta, gamma, moments))
     return moments[: max_order + 1]
-
-
-# --- closed-form Malliavin brackets -----------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
-_GL01_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
-def _gl01(values_fn):
-    """Integrate a vectorized integrand over [0, 1] (Gauss-Legendre, 200 pts)."""
-    return values_fn(_GL01_NODES) @ _GL01_WEIGHTS
-
-
-def mble_inner_product(case, realization, c, n=None):
-    """<D(-L)^{-1}(F - EF), DF> for the four exactly solvable functionals.
-
-    case = "linear":    F = c W(h)                      -> c^2
-    case = "quadratic": F = c (W(h)^2 - 1)              -> 2 c F + 2 c^2
-    case = "lognormal": F = exp(c W(h))                 ->
-           c^2 F int_0^1 F^v exp(c^2 (1 - v^2)/2) dv
-    case = "exp_chi2":  F = exp(c sum_{k<=n} W(h_k)^2), c < 1/2 ->
-           4 c F log F int_0^1 v F^{v^2/(1-2c(1-v^2))}
-                                (1-2c(1-v^2))^{-(n/2+1)} dv
-
-    ``realization`` holds the underlying standard normal coordinates: scalar
-    or (N,) for the one-dimensional cases, (n,) or (N, n) for exp_chi2.
-    """
-    c = float(c)
-    x = np.asarray(realization, dtype=float)
-    if case == "linear":
-        out = np.full(x.shape, c * c) if x.ndim else c * c
-        return out
-    if case == "quadratic":
-        out = 2.0 * c * c * x * x
-        return float(out) if out.ndim == 0 else out
-    if case == "lognormal":
-        if c == 0.0:
-            return np.zeros(x.shape) if x.ndim else 0.0
-        flat = np.atleast_1d(x)
-        F = np.exp(c * flat)
-
-        def integrand(v):
-            # shape (N, V)
-            return F[:, None] ** v[None, :] * np.exp(c * c * (1.0 - v**2) / 2.0)
-
-        vals = c * c * F * (integrand(_GL01_NODES) @ _GL01_WEIGHTS)
-        return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
-    if case == "exp_chi2":
-        if n is None:
-            raise ValueError("exp_chi2 needs the number of coordinates n")
-        if not c < 0.5:
-            raise ValueError("exp_chi2 needs c < 1/2")
-        if c == 0.0:
-            base = np.sum(np.atleast_2d(x) ** 2, axis=-1)
-            return 0.0 if x.ndim <= 1 else np.zeros(base.shape)
-        pts = np.atleast_2d(x)
-        if pts.shape[-1] != n:
-            raise ValueError(f"realization last axis must have length n={n}")
-        s = np.sum(pts**2, axis=-1)
-        F = np.exp(c * s)
-        logF = c * s
-        v = _GL01_NODES
-        denom = 1.0 - 2.0 * c * (1.0 - v**2)  # > 0 for c < 1/2
-        expo = v**2 / denom
-        vals = (v * F[:, None] ** expo[None, :] * denom ** -(n / 2.0 + 1.0)
-                ) @ _GL01_WEIGHTS
-        vals = 4.0 * c * F * logF * vals
-        return float(vals[0]) if x.ndim == 1 else vals
-    raise ValueError(f"unknown case {case!r}")

@@ -1,13 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here works on dense ndarrays or brute-force enumeration, sharing
-no code with the sparse orbit representation under test.
+Everything here works on dense ndarrays, brute-force enumeration, adaptive
+quadrature or closed forms, sharing no code with the sparse orbit
+representation or the Gauss-Legendre grid table under test.
 """
 import collections
 import itertools
 import math
 
 import numpy as np
+from scipy import integrate
 
 
 def raw_to_dense(raw, dim, order):
@@ -141,3 +143,102 @@ def naive_em(target, cfg):
         if step > cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
             kept.append(x)
     return np.array(kept)
+
+
+def _quad_between_knots(fn, lo, hi, knots):
+    """int_lo^hi fn by adaptive quad at the package's tolerances, broken at
+    the grid knots inside (lo, hi) so that each piece is smooth."""
+    inner = [k for k in knots if lo < k < hi]
+    return integrate.quad(fn, lo, hi, points=inner or None,
+                          epsabs=1e-10, epsrel=1e-8, limit=400)[0]
+
+
+def quad_mass(density, knots):
+    """int p over the span of a tabulated density."""
+    return _quad_between_knots(density, knots[0], knots[-1], knots)
+
+
+def quad_mean(density, knots):
+    """int y p(y) dy over the span of a tabulated density."""
+    return _quad_between_knots(lambda y: y * density(y), knots[0], knots[-1], knots)
+
+
+def quad_cdf(density, knots, x):
+    """int_lo^x p."""
+    return _quad_between_knots(density, knots[0], x, knots)
+
+
+def quad_coeff(density, knots, mean, x):
+    """a(x) = 2 int_lo^x (mean - y) p(y) dy / p(x), from the nearer tail
+    (the lower one up to the mean)."""
+    bp = lambda y: (mean - y) * density(y)
+    if x <= mean:
+        num = _quad_between_knots(bp, knots[0], x, knots)
+    else:
+        num = -_quad_between_knots(bp, x, knots[-1], knots)
+    return 2.0 * num / density(x)
+
+
+# --- closed-form Malliavin brackets of exactly solvable functionals ----------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
+_GL01_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+
+def mble_inner_product(case, realization, c, n=None):
+    """<D(-L)^{-1}(F - EF), DF> for the four exactly solvable functionals.
+
+    case = "linear":    F = c W(h)                      -> c^2
+    case = "quadratic": F = c (W(h)^2 - 1)              -> 2 c F + 2 c^2
+    case = "lognormal": F = exp(c W(h))                 ->
+           c^2 F int_0^1 F^v exp(c^2 (1 - v^2)/2) dv
+    case = "exp_chi2":  F = exp(c sum_{k<=n} W(h_k)^2), c < 1/2 ->
+           4 c F log F int_0^1 v F^{v^2/(1-2c(1-v^2))}
+                                (1-2c(1-v^2))^{-(n/2+1)} dv
+
+    ``realization`` holds the underlying standard normal coordinates: scalar
+    or (N,) for the one-dimensional cases, (n,) or (N, n) for exp_chi2.
+    """
+    c = float(c)
+    x = np.asarray(realization, dtype=float)
+    if case == "linear":
+        out = np.full(x.shape, c * c) if x.ndim else c * c
+        return out
+    if case == "quadratic":
+        out = 2.0 * c * c * x * x
+        return float(out) if out.ndim == 0 else out
+    if case == "lognormal":
+        if c == 0.0:
+            return np.zeros(x.shape) if x.ndim else 0.0
+        flat = np.atleast_1d(x)
+        F = np.exp(c * flat)
+
+        def integrand(v):
+            # shape (N, V)
+            return F[:, None] ** v[None, :] * np.exp(c * c * (1.0 - v**2) / 2.0)
+
+        vals = c * c * F * (integrand(_GL01_NODES) @ _GL01_WEIGHTS)
+        return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
+    if case == "exp_chi2":
+        if n is None:
+            raise ValueError("exp_chi2 needs the number of coordinates n")
+        if not c < 0.5:
+            raise ValueError("exp_chi2 needs c < 1/2")
+        if c == 0.0:
+            base = np.sum(np.atleast_2d(x) ** 2, axis=-1)
+            return 0.0 if x.ndim <= 1 else np.zeros(base.shape)
+        pts = np.atleast_2d(x)
+        if pts.shape[-1] != n:
+            raise ValueError(f"realization last axis must have length n={n}")
+        s = np.sum(pts**2, axis=-1)
+        F = np.exp(c * s)
+        logF = c * s
+        v = _GL01_NODES
+        denom = 1.0 - 2.0 * c * (1.0 - v**2)  # > 0 for c < 1/2
+        expo = v**2 / denom
+        vals = (v * F[:, None] ** expo[None, :] * denom ** -(n / 2.0 + 1.0)
+                ) @ _GL01_WEIGHTS
+        vals = 4.0 * c * F * logF * vals
+        return float(vals[0]) if x.ndim == 1 else vals
+    raise ValueError(f"unknown case {case!r}")

@@ -27,7 +27,6 @@ from chaoslimits import (
     ks_distance,
     lemma_l11_gap,
     malliavin_inner,
-    mble_inner_product,
     moment3,
     moment4,
     named_target,
@@ -48,6 +47,7 @@ from chaoslimits import (
     uniform_centered_target,
     wick_moment,
 )
+from oracles import mble_inner_product
 
 
 def report(num, label, worst, tol, ok, unit="max |err|"):

@@ -1,6 +1,8 @@
 """File formats and the command-line interface."""
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +225,20 @@ def test_cli_stein_check_named(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert max(doc["max_abs_residual"].values()) < 1e-6
+
+
+def test_cli_stein_check_grid_target_file(capsys):
+    # a 97-knot N(0, 1) density on [-6, 6]: both residuals meet the named
+    # targets' tolerance, with no quadrature warning
+    path = Path(__file__).parent / "data" / "normal_grid97.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["stein-check", "--target", str(path)])
+    assert code == 0 and err == ""
+    assert not caught
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert max(doc["max_abs_residual"].values()) <= 1e-6
 
 
 def test_cli_oracle_check(capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from chaoslimits import (
     DiffusionCoefficient,
@@ -14,7 +16,6 @@ from chaoslimits import (
     fdist_target,
     gamma_target,
     inverse_gamma_target,
-    mble_inner_product,
     moment_recursion,
     moment_table,
     named_target,
@@ -28,6 +29,7 @@ from chaoslimits import (
     target_from_density_grid,
     uniform_centered_target,
 )
+from oracles import mble_inner_product, quad_coeff, quad_cdf, quad_mass, quad_mean
 
 ALL_TARGETS = [
     normal_target(1.0),
@@ -257,6 +259,31 @@ def test_interior_grid_stays_inside():
         l, u = target.support
         assert xs.min() > l and xs.max() < u
         assert np.all(np.diff(xs) > 0)
+
+
+def test_interior_grid_without_ppf_on_half_infinite_support():
+    # Gamma(2, 1) moved to (100, inf), and its mirror on (-inf, -100), with no
+    # cdf or ppf: the infinite end gives way to a point past the mean, not to
+    # +-10, which lay outside the support
+    def density(x):
+        y = np.asarray(x, dtype=float) - 100.0
+        return np.where(y > 0.0, y * np.exp(-np.maximum(y, 0.0)), 0.0)
+
+    right = TargetMeasure(name="shifted_gamma", support=(100.0, np.inf),
+                          density=density, mean=102.0,
+                          coeff=DiffusionCoefficient.polynomial(0.0, 2.0, -200.0))
+    left = TargetMeasure(name="mirrored_gamma", support=(-np.inf, -100.0),
+                         density=lambda x: density(-np.asarray(x, dtype=float)),
+                         mean=-102.0,
+                         coeff=DiffusionCoefficient.polynomial(0.0, -2.0, -200.0))
+    for t in (right, left):
+        l, u = t.support
+        xs = t.interior_grid(5)
+        assert np.all((xs > l) & (xs < u))
+        assert np.all(np.diff(xs) > 0)
+        for f in (lambda y: y, lambda y: y**2):
+            res = stein_solution_residual(t, f, t.interior_grid(20))
+            assert float(np.max(np.abs(res))) <= 1e-6, t.name
 
 
 # --- stein solutions -------------------------------------------------------------------
@@ -490,3 +517,48 @@ def test_grid_density_float_path_equals_array_path():
         outside = [lo - 1.0, lo - 1e-12, hi + 1e-12, hi + 1.0]
         assert all(t.density(x) == 0.0 for x in outside)
         assert np.all(t.density(np.array(outside)) == 0.0)
+
+
+
+def test_grid_copy_of_normal_passes_ks_against_its_cdf():
+    xs = np.linspace(-8.0, 8.0, 129)
+    t = target_from_density_grid(xs, scipy.stats.norm.pdf(xs))
+    draws = np.random.default_rng(2718).standard_normal(20_000)
+    ks = scipy.stats.kstest(draws, t.cdf).statistic
+    assert ks <= 1.95 / math.sqrt(len(draws))
+    for q in (0.01, 0.1, 0.5, 0.9, 0.99):
+        assert abs(t.cdf(t.ppf(q)) - q) <= 1e-6
+
+
+def _shaped_grid(kind, knots, scale, shift, shape):
+    """(xs, ps): a Gaussian or Gamma(shape) density tabulated on knots."""
+    if kind == "gauss":
+        z = np.linspace(-8.0, 8.0, knots)
+        ps = scipy.stats.norm.pdf(z)
+    else:
+        law = scipy.stats.gamma(shape)
+        z = np.linspace(law.ppf(1e-7), law.ppf(1.0 - 1e-10), knots)
+        ps = law.pdf(z)
+    return shift + scale * z, ps / scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(kind=hst.sampled_from(["gauss", "gamma"]), knots=hst.integers(33, 200),
+       scale=hst.floats(0.25, 4.0), shift=hst.floats(-50.0, 50.0),
+       shape=hst.floats(1.5, 6.0))
+def test_grid_table_matches_quad_oracle(kind, knots, scale, shift, shape):
+    # The oracle asks quad for max(1e-10, 1e-8 |I|) on each knot-to-knot
+    # piece, where the density is smooth.  That rtol of 1e-8 bounds the
+    # pointwise cdf (|I| <= 1) and, relative above 1, a(x).  The mass and
+    # the mean are held to a tenth of it: on smooth pieces quad's error
+    # estimate, which it drives below the tolerance, overstates its true
+    # error by orders of magnitude.
+    xs, ps = _shaped_grid(kind, knots, scale, shift, shape)
+    t = target_from_density_grid(xs, ps)
+    mean = quad_mean(t.density, xs)
+    assert abs(t.moment(0) - quad_mass(t.density, xs)) <= 1e-9
+    assert abs(t.mean - mean) <= 1e-9 * max(1.0, abs(mean))
+    for x in t.ppf(np.linspace(0.02, 0.98, 9)).tolist():
+        assert abs(t.cdf(x) - quad_cdf(t.density, xs, x)) <= 1e-8
+        a = quad_coeff(t.density, xs, mean, x)
+        assert abs(t.coeff(x) - a) <= 1e-8 * max(1.0, abs(a))
