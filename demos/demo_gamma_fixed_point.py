@@ -23,7 +23,7 @@ for k in (1, 2, 4):
     print(f"k = {k}: F ~ centered Gamma({k / 2:g}, 1/2),"
           f" coefficient a(x) = {coeff[0]:g} x^2 + {coeff[1]:g} x + {coeff[2]:g}")
     print(f"   E[F^2] = {f.scaled_norm_sq():g}   E[F^3] = {moment3(f):g}")
-    print(f"   stein residual (level decomposition) = {stein_residual_l2(f, coeff)}")
+    print(f"   stein residual (norms by level)      = {stein_residual_l2(f, coeff)}")
     print(f"   stein residual (direct subtraction)  = {stein_residual_l2_direct(f, coeff)}")
     print(f"   kernel fixed-point gap               = {gamma_kernel_gap(f, 0.5)}")
     print(f"   inner-product identity gap           = {lemma_l11_gap(f, coeff)}")

@@ -381,9 +381,6 @@ class ChaosVector:
     def expectation(self):
         return self.level(0).entries.get((), 0.0)
 
-    def max_level(self):
-        return max(self.components, default=0)
-
     def __add__(self, other):
         if other.dim != self.dim:
             raise ValueError("dims differ")

@@ -5,9 +5,9 @@ toward the invariant law of a diffusion with quadratic coefficient
 a(x) = alpha x^2 + beta x + gamma:
 
 - ``moment3`` / ``moment4``: exact E[F^3], E[F^4] from contraction norms;
-- ``stein_residual_l2``: E[(a(F)/2 - n^{-1}||DF||^2)^2], decomposed by chaos
-  level (three independent routes: level decomposition, direct chaos
-  subtraction, Monte Carlo);
+- ``stein_residual_l2`` / ``prop24_gap``: E[(a(F)/2 - n^{-1}||DF||^2)^2] and
+  the energy gap from E[F^2] and f ~x_r f, r >= 1 (cross-checked by direct
+  chaos subtraction and Monte Carlo);
 - ``lemma_l2_combination``: the exact moment combination
   E[F^4 - (3/2) a(F) F^2] whose limit isolates the constant C0;
 - ``classifier``: the sign analysis of C0 and of the discriminant of the
@@ -87,22 +87,23 @@ def moment3(f):
             * f.inner(f.self_contraction(n // 2)))
 
 
+def _contraction_weights(f):
+    """{r: (r!)^2 C(n,r)^4 (2n-2r)! ||f ~x_r f||^2} for r = 1..n-1: w_r is the
+    chaos-isometric weight of level 2n-2r of F^2 (Nourdin & Peccati 2012, ch. 5)."""
+    n = f.order
+    return {r: (math.factorial(r) ** 2 * math.comb(n, r) ** 4
+                * math.factorial(2 * n - 2 * r) * f.self_contraction(r).norm_sq())
+            for r in range(1, n)}
+
+
 def moment4(f):
-    """E[I_n(f)^4] = 3 (n! ||f||^2)^2 + 3n sum_p (p-1)! C(n-1,p-1)^2 p!
-    C(n,p)^2 (2n-2p)! ||f ~x_p f||^2."""
+    """E[I_n(f)^4] = 3 E[F^2]^2 + sum_r 3 (r/n) w_r (``_contraction_weights``)."""
     n = f.order
     if n == 0:
         return f.entries.get((), 0.0) ** 4
     ef2 = f.scaled_norm_sq()
-    total = 3.0 * ef2 * ef2
-    for p in range(1, n):
-        coef = (
-            math.factorial(p - 1) * math.comb(n - 1, p - 1) ** 2
-            * math.factorial(p) * math.comb(n, p) ** 2
-            * math.factorial(2 * n - 2 * p)
-        )
-        total += 3.0 * n * coef * f.self_contraction(p).norm_sq()
-    return total
+    return sum((3.0 * r / n * w for r, w in _contraction_weights(f).items()),
+               3.0 * ef2 * ef2)
 
 
 # --- classifier --------------------------------------------------------------
@@ -260,50 +261,47 @@ def _as_coeff_tuple(coeff):
     return float(alpha), float(beta), float(gamma)
 
 
-def _a_of_F(f, coeff):
-    """Chaos expansion of a(F) = alpha F^2 + beta F + gamma for F = I_n(f)."""
-    alpha, beta, gamma = _as_coeff_tuple(coeff)
-    F = ChaosVector.from_kernel(f)
-    out = ChaosVector.constant(f.dim, gamma)
-    if beta:
-        out = out + beta * F
-    if alpha:
-        out = out + alpha * chaos_product(F, F)
-    return out
-
-
 def stein_residual_l2(f, coeff):
-    """E[(a(F)/2 - n^{-1} ||DF||^2)^2] by the level decomposition.
+    """E[(a(F)/2 - n^{-1} ||DF||^2)^2] as squared norms over chaos levels.
 
-    With a(F) = sum_k I_k(g_k), the even levels k <= 2n-2 carry the
-    cancellation against n (n-1-k/2)! C(n-1,k/2)^2 f ~x_{n-k/2} f and the rest
-    contribute (1/4) E[I_k(g_k)^2]; each level enters with its chaos-isometric
-    weight k! on the symmetrized kernel.
-    """
-    aF = _a_of_F(f, coeff)
+    Level k = 2n-2r < 2n is k! ||g_k/2 - n (r-1)! C(n-1,r-1)^2 f ~x_r f||^2 with
+    g_k = alpha r! C(n,r)^2 f ~x_r f (+ beta f at k = n, + gamma at k = 0); odd n
+    adds n! ||beta f||^2 / 4, and level 2n alpha^2/4 (2n)! ||f ~x_0 f||^2 =
+    alpha^2/4 (2 E[F^2]^2 + sum (3r/n - 1) w_r).  Unlike the moment form, the
+    sum cannot cancel below zero."""
+    alpha, beta, gamma = _as_coeff_tuple(coeff)
     n = f.order
     if n == 0:
         raise ValueError("needs a kernel of order >= 1")
     total = 0.0
-    levels = set(aF.components) | set(range(0, 2 * n - 1, 2))
-    for k in sorted(levels):
-        gk = aF.level(k)
-        if k % 2 == 0 and k <= 2 * n - 2:
-            coefficient = (
-                n * math.factorial(n - 1 - k // 2) * math.comb(n - 1, k // 2) ** 2
-            )
-            bracket = 0.5 * gk - coefficient * f.self_contraction(n - k // 2)
-            total += math.factorial(k) * bracket.norm_sq()
-        else:
-            total += 0.25 * math.factorial(k) * gk.norm_sq()
+    for k in range(2 * n):
+        if k % 2 == 0:
+            r = n - k // 2
+            s = f.self_contraction(r)
+            g = SymmetricKernel(f.dim, k, {(): gamma} if k == 0 else {})
+            if k == n and beta:
+                g = g + beta * f
+            if alpha:
+                g = g + alpha * (math.factorial(r) * math.comb(n, r) ** 2 * s)
+            coefficient = n * math.factorial(r - 1) * math.comb(n - 1, r - 1) ** 2
+            total += math.factorial(k) * (0.5 * g - coefficient * s).norm_sq()
+        elif k == n and beta:
+            total += 0.25 * math.factorial(n) * (beta * f).norm_sq()
+    if alpha:
+        ef2 = f.scaled_norm_sq()
+        total += 0.25 * alpha**2 * sum(
+            ((3.0 * r / n - 1.0) * w for r, w in _contraction_weights(f).items()),
+            2.0 * ef2 * ef2)
     return total
 
 
 def stein_residual_l2_direct(f, coeff):
     """Same quantity by direct chaos subtraction: R = a(F)/2 - n^{-1}<DF, DF>,
-    then E[R^2] by the isometry."""
-    n = f.order
-    R = 0.5 * _a_of_F(f, coeff) - (1.0 / n) * malliavin_inner(f, f)
+    with F^2 from the product formula, then E[R^2] by the isometry."""
+    alpha, beta, gamma = _as_coeff_tuple(coeff)
+    F = ChaosVector.from_kernel(f)
+    aF = ChaosVector.constant(f.dim, gamma) + beta * F + alpha * chaos_product(F, F)
+    R = 0.5 * aF - (1.0 / f.order) * malliavin_inner(f, f)
     return expect_product(R, R)
 
 
@@ -354,13 +352,15 @@ def stein_discrepancy_l1_mc(f, coeff, samples, seed):
 
 
 def prop24_gap(f, coeff):
-    """|(1/4) E[a(F)^2] - n^{-2} E[||DF||^4]|, all in exact chaos arithmetic."""
-    aF = _a_of_F(f, coeff)
-    n = f.order
-    m = malliavin_inner(f, f)
-    ea2 = expect_product(aF, aF)
-    edf4 = expect_product(m, m)
-    return abs(0.25 * ea2 - edf4 / n**2)
+    """|(1/4) E[a(F)^2] - E[Gamma^2]|, Gamma = n^{-1}||DF||^2, from moments:
+    E[Gamma^2] = E[F^2]^2 + Var Gamma with Var Gamma = sum (r/n)^2 w_r."""
+    alpha, beta, gamma = _as_coeff_tuple(coeff)
+    n, ef2 = f.order, f.scaled_norm_sq()
+    ea2 = (alpha * alpha * moment4(f) + 2.0 * alpha * beta * moment3(f)
+           + (beta * beta + 2.0 * alpha * gamma) * ef2 + gamma * gamma)
+    egamma2 = sum(((r / n) ** 2 * w for r, w in _contraction_weights(f).items()),
+                  ef2 * ef2)
+    return abs(0.25 * ea2 - egamma2)
 
 
 def prop24_gap_mc(f, coeff, samples, seed):
@@ -517,12 +517,8 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
     )
     trends = {}
     if len(members) >= 2:
-        trends["stein_residual_l2_chaos"] = _ratio_trend(
-            [r["stein_residual_l2_chaos"] for r in members]
-        )
-        trends["prop24_gap_chaos"] = _ratio_trend(
-            [r["prop24_gap_chaos"] for r in members]
-        )
+        for key in ("stein_residual_l2_chaos", "prop24_gap_chaos"):
+            trends[key] = _ratio_trend([r[key] for r in members])
         trends["ef4_excess"] = _ratio_trend(
             [r["ef4"] - 3.0 * r["ef2"] ** 2 for r in members]
         )

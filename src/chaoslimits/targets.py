@@ -557,7 +557,7 @@ def target_from_density_grid(xs, ps, support=None, name="custom"):
         out = np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, out))
         return out if out.ndim else float(out)
 
-    # a monotone inverse of the exact cdf on a refined knot set
+    # a monotone inverse of the exact cdf on a refined knot set, Newton-polished
     knots = np.unique(np.concatenate([xs, np.linspace(lo, hi, 257)]))
     cums = np.maximum.accumulate(cdf(knots))
     keep = np.concatenate([[True], np.diff(cums) > 1e-15])
@@ -566,8 +566,14 @@ def target_from_density_grid(xs, ps, support=None, name="custom"):
 
     def ppf(q):
         q = np.clip(np.asarray(q, dtype=float), cums[keep][0], cums[keep][-1])
-        out = np.asarray(ppf_interp(q), dtype=float)
-        return out if out.ndim else float(out)
+        x = np.asarray(ppf_interp(q), dtype=float)
+        err = cdf(x) - q
+        for _ in range(2):  # a step is kept only where it lowers |cdf - q|
+            step = np.clip(x - err / density(x), lo, hi)
+            step_err = cdf(step) - q
+            better = np.abs(step_err) < np.abs(err)
+            x, err = np.where(better, step, x), np.where(better, step_err, err)
+        return x if x.ndim else float(x)
 
     mean = table.cumulative(lambda y: y)(hi, True)
     median = ppf(0.5)

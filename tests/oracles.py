@@ -2,7 +2,10 @@
 
 Everything here works on dense ndarrays, brute-force enumeration, adaptive
 quadrature or closed forms, sharing no code with the sparse orbit
-representation or the Gauss-Legendre grid table under test.
+representation or the Gauss-Legendre grid table under test.  The exception
+is the last section: the Stein residual and the energy gap in full chaos
+arithmetic (a(F) expanded with the product formula), the references for the
+scalar routes in ``chaoslimits.diagnostics``.
 """
 import collections
 import itertools
@@ -10,6 +13,13 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from chaoslimits.chaos import (
+    ChaosVector,
+    chaos_product,
+    expect_product,
+    malliavin_inner,
+)
 
 
 def raw_to_dense(raw, dim, order):
@@ -242,3 +252,47 @@ def mble_inner_product(case, realization, c, n=None):
         vals = 4.0 * c * F * logF * vals
         return float(vals[0]) if x.ndim == 1 else vals
     raise ValueError(f"unknown case {case!r}")
+
+
+# --- Stein residual and energy gap in full chaos arithmetic -----------------
+
+def a_of_F(f, coeff):
+    """Chaos expansion of a(F) = alpha F^2 + beta F + gamma for F = I_n(f)."""
+    alpha, beta, gamma = (float(c) for c in coeff)
+    F = ChaosVector.from_kernel(f)
+    out = ChaosVector.constant(f.dim, gamma)
+    if beta:
+        out = out + beta * F
+    if alpha:
+        out = out + alpha * chaos_product(F, F)
+    return out
+
+
+def level_residual(f, coeff):
+    """E[(a(F)/2 - n^{-1}||DF||^2)^2] by the level decomposition of a(F).
+
+    The even levels k <= 2n-2 carry the cancellation against
+    n (n-1-k/2)! C(n-1,k/2)^2 f ~x_{n-k/2} f; every other level contributes
+    (1/4) E[I_k(g_k)^2].
+    """
+    aF = a_of_F(f, coeff)
+    n = f.order
+    total = 0.0
+    for k in sorted(set(aF.components) | set(range(0, 2 * n - 1, 2))):
+        gk = aF.level(k)
+        if k % 2 == 0 and k <= 2 * n - 2:
+            coefficient = (
+                n * math.factorial(n - 1 - k // 2) * math.comb(n - 1, k // 2) ** 2
+            )
+            bracket = 0.5 * gk - coefficient * f.self_contraction(n - k // 2)
+            total += math.factorial(k) * bracket.norm_sq()
+        else:
+            total += 0.25 * math.factorial(k) * gk.norm_sq()
+    return total
+
+
+def chaos_prop24_gap(f, coeff):
+    """|(1/4) E[a(F)^2] - n^{-2} E[||DF||^4]| with both sides as chaos vectors."""
+    aF = a_of_F(f, coeff)
+    m = malliavin_inner(f, f)
+    return abs(0.25 * expect_product(aF, aF) - expect_product(m, m) / f.order**2)

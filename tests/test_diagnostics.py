@@ -1,12 +1,16 @@
 """Moment diagnostics, the coefficient classifier, and kernel families."""
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from chaoslimits import (
     BUILTIN_FAMILIES,
     SymmetricKernel,
+    beta_target,
     c_n,
     classifier,
     classifier_c0,
@@ -37,7 +41,7 @@ from chaoslimits import (
     wick_moment,
 )
 
-from oracles import gauss_hermite_expectation
+from oracles import chaos_prop24_gap, gauss_hermite_expectation, level_residual
 
 
 # --- combinatorial constants -----------------------------------------------------------
@@ -255,6 +259,34 @@ def test_residual_routes_agree_random_sweep():
         assert math.isclose(a, b, rel_tol=1e-10, abs_tol=1e-12)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=hst.integers(1, 4), d=hst.integers(1, 5), nnz=hst.integers(1, 8),
+       seed=hst.integers(0, 2**32 - 1), alpha=hst.floats(-2.0, 2.0),
+       beta=hst.floats(-2.0, 2.0), gamma=hst.floats(-2.0, 2.0))
+def test_scalar_routes_match_chaos_oracles(n, d, nnz, seed, alpha, beta, gamma):
+    f = random_kernel(np.random.default_rng(seed), d, n, nnz)
+    coeff = (alpha, beta, gamma)
+    res = stein_residual_l2(f, coeff)
+    assert math.isclose(res, level_residual(f, coeff), rel_tol=1e-10, abs_tol=1e-12)
+    assert math.isclose(res, stein_residual_l2_direct(f, coeff),
+                        rel_tol=1e-10, abs_tol=1e-12)
+    assert math.isclose(prop24_gap(f, coeff), chaos_prop24_gap(f, coeff),
+                        rel_tol=1e-10, abs_tol=1e-12)
+
+
+def test_stein_residual_is_a_sum_of_squares_at_gamma_fixed_points():
+    # F = c sum_{i<k} (X_i^2 - 1) is centered Gamma(k/2, 1/(2c)).  Off the
+    # dyadic grid the target's coefficients carry rounding, and the residual
+    # must stay at that level without going negative, as a difference of
+    # moments cancelling to noise would.
+    for k in (1, 2, 3, 5):
+        for c in np.linspace(0.1, 7.3, 50).tolist():
+            f = SymmetricKernel(k, 2, {(i, i): c for i in range(k)})
+            coeff = gamma_target(k / 2.0, 1.0 / (2.0 * c)).coeff.as_tuple()
+            res = stein_residual_l2(f, coeff)
+            assert 0.0 <= res <= 1e-20 * f.scaled_norm_sq() ** 2, (k, c, res)
+
+
 def test_residual_mc_tracks_exact():
     rng = np.random.default_rng(10)
     f = random_kernel(rng, 3, 2, nnz=4)
@@ -399,6 +431,27 @@ def test_run_family_diagnostics_clt_large_m():
     assert math.isclose(rec["stein_residual_l2_chaos"], 2.0 / m, rel_tol=1e-13)
 
 
+def test_run_family_diagnostics_clt_against_beta_large_m():
+    # alpha != 0 at scale: closed forms with EF^2 = 1, EF^3 = 2 sqrt(2/m),
+    # EF^4 = 3 + 12/m and Var(n^{-1}||DF||^2) = 2/m
+    m = 4096
+    t0 = time.monotonic()
+    (rec,) = run_family_diagnostics(
+        gaussian_clt_family(), [m], beta_target(2.0, 3.0)
+    ).members
+    elapsed = time.monotonic() - t0
+    alpha, beta, gamma = beta_target(2.0, 3.0).coeff.as_tuple()
+    ef3, ef4, egamma2 = 2.0 * math.sqrt(2.0 / m), 3.0 + 12.0 / m, 1.0 + 2.0 / m
+    ea2 = (alpha**2 * ef4 + 2.0 * alpha * beta * ef3
+           + beta**2 + 2.0 * alpha * gamma + gamma**2)
+    eagamma = alpha * ef4 / 3.0 + beta * ef3 / 2.0 + gamma
+    assert math.isclose(rec["stein_residual_l2_chaos"],
+                        0.25 * ea2 - eagamma + egamma2, rel_tol=1e-12)
+    assert math.isclose(rec["prop24_gap_chaos"], abs(0.25 * ea2 - egamma2),
+                        rel_tol=1e-12)
+    assert elapsed < 10.0
+
+
 def test_run_family_diagnostics_contracts_each_member_once_per_order(monkeypatch):
     import chaoslimits.chaos
     import chaoslimits.diagnostics
@@ -413,9 +466,11 @@ def test_run_family_diagnostics_contracts_each_member_once_per_order(monkeypatch
 
     monkeypatch.setattr(chaoslimits.chaos, "contract", counting)
     monkeypatch.setattr(chaoslimits.diagnostics, "contract", counting)
-    target = named_target("beta", a=2.0, b=3.0)  # alpha != 0: a(F) needs F^2
+    # alpha != 0: the top level of F^2 comes from the r >= 1 weights, so the
+    # m^2-entry f ~x_0 f is never formed
+    target = named_target("beta", a=2.0, b=3.0)
     run_family_diagnostics(gaussian_clt_family(), [8], target)
-    assert sorted(r for _, r in calls) == [0, 1, 2]
+    assert sorted(r for _, r in calls) == [1, 2]
 
 
 def test_self_contraction_memo_stays_out_of_eq_and_repr():
