@@ -116,8 +116,8 @@ class SymmetricKernel:
     ``entries`` maps each canonical (sorted) multi-index to the common value
     of the tensor on that orbit; indices missing from the map are zero.
     Treat instances as immutable: all operations return new kernels, and
-    ``self_contraction`` memoizes on the assumption that ``entries`` is
-    never mutated.
+    ``norm_sq`` and ``self_contraction`` memoize on the assumption that
+    ``entries`` is never mutated.
     """
 
     dim: int
@@ -136,6 +136,7 @@ class SymmetricKernel:
                 clean[idx] = val
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "_self_contractions", {})
+        object.__setattr__(self, "_norm_sq", None)
 
     # --- constructors -------------------------------------------------
     @staticmethod
@@ -182,7 +183,11 @@ class SymmetricKernel:
 
     # --- metric ----------------------------------------------------------
     def norm_sq(self):
-        return sum(multiplicity(idx) * v * v for idx, v in self.entries.items())
+        """||f||^2, summed on first use and kept on this kernel."""
+        if self._norm_sq is None:
+            object.__setattr__(self, "_norm_sq", sum(
+                multiplicity(idx) * v * v for idx, v in self.entries.items()))
+        return self._norm_sq
 
     def norm(self):
         return math.sqrt(self.norm_sq())
@@ -207,14 +212,6 @@ class SymmetricKernel:
                 pos = idx.index(i)
                 out[idx[:pos] + idx[pos + 1:]] = v
         return SymmetricKernel(self.dim, self.order - 1, out)
-
-    def to_raw(self):
-        """Expand to the dense-orbit raw map {every rearrangement: value}."""
-        out = {}
-        for idx, v in self.entries.items():
-            for perm in set(itertools.permutations(idx)):
-                out[perm] = v
-        return out
 
     def scaled_norm_sq(self):
         """n! ||f||^2 = E[I_n(f)^2], the chaos-isometric squared norm."""

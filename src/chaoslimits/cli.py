@@ -108,12 +108,8 @@ def _emit(doc, out=None):
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_targets_list(args):
-    rows = []
-    for name, (_, wanted) in NAMED_TARGETS.items():
-        rows.append({
-            "name": name,
-            "params": [cio.file_param_name(p) for p in wanted],
-        })
+    rows = [{"name": name, "params": [cio.file_param_name(p) for p in wanted]}
+            for name, (_, wanted) in NAMED_TARGETS.items()]
     _emit({"schema_version": cio.SCHEMA_VERSION, "targets": rows}, args.out)
     return 0
 
@@ -264,7 +260,8 @@ def _cmd_stein_check(args):
     xs = target.interior_grid(200)
     residuals = {}
     worst = 0.0
-    for label, f in (("x", lambda y: y), ("x^2", lambda y: y**2)):
+    poly = np.polynomial.Polynomial
+    for label, f in (("x", poly([0, 1])), ("x^2", poly([0, 0, 1]))):
         res = float(np.max(np.abs(stein_solution_residual(target, f, xs))))
         residuals[label] = res
         worst = max(worst, res)

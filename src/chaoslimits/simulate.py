@@ -127,6 +127,8 @@ def simulate(target, cfg):
     clamped = 0
     next_keep = cfg.burn_in + cfg.thinning
     sqrt = math.sqrt
+    # inside [flo, fhi] a step needs neither the clamp nor the overflow check
+    flo, fhi = max(lo, -_OVERFLOW), min(hi, _OVERFLOW)
     fast = coeff.kind == "polynomial"
     if fast:
         al, be, ga = coeff.as_tuple()
@@ -141,17 +143,14 @@ def simulate(target, cfg):
                     " dt too large for the coefficient's stiffness"
                 )
             x = x + b * dt + sqrt(a) * sqrt_dt * z
-            if x < lo:
-                x = lo
+            if not flo <= x <= fhi:  # a miss: clamp, or raise on overflow/NaN
+                if not (x < lo or x > hi):
+                    raise RuntimeError(
+                        f"state overflow at step {step}:"
+                        " dt too large for the coefficient's stiffness"
+                    )
+                x = lo if x < lo else hi
                 clamped += 1
-            elif x > hi:
-                x = hi
-                clamped += 1
-            elif x > _OVERFLOW or x < -_OVERFLOW or x != x:
-                raise RuntimeError(
-                    f"state overflow at step {step}:"
-                    " dt too large for the coefficient's stiffness"
-                )
             step += 1
             if step == next_keep:
                 out[kept] = x

@@ -25,6 +25,10 @@ A grid target evaluates its log-PCHIP piece by piece on a float, and every
 integral against it (mass, mean, cdf, a(x), Stein solutions) reads one
 Gauss-Legendre table of its pieces instead of calling ``quad``.
 
+A polynomial f of degree k < ``moment_bound`` on a polynomial coefficient,
+assumed Pearson ((a, b) is the density's own diffusion pair, as for every
+named target), gets a polynomial Stein solution with no integral.
+
 ``poly_moments`` / ``moment_recursion`` give the closed moment ladder that a
 quadratic coefficient forces on the target.
 """
@@ -660,12 +664,19 @@ def coeff_from_density(density, support, mean=0.0, cdf=None):
 def stein_solution(target, f):
     """Solve (1/2) a g' + b g = f - E[f] for g; returns a callable.
 
+    A ``numpy.polynomial.Polynomial`` f of degree k < ``moment_bound`` on a
+    polynomial coefficient, assumed to belong to a Pearson target as every
+    named target's does, gets the Polynomial g of degree k - 1 from
+    ``_pearson_solution``, with no integral.  Otherwise
     g(x) = 2 (int_l^x (f - m_f) p) / (a(x) p(x)), evaluated from the nearer
-    tail: the lower one up to the median (the mean without a ppf).  The
-    solution is the one vanishing appropriately at both endpoints.
-    Raises ValueError where a(x) p(x) is not positive.  On a grid target
-    f is evaluated on arrays of table nodes, so it must accept arrays.
+    tail: the lower one up to the median (the mean without a ppf), and
+    vanishing appropriately at both endpoints; ValueError where a(x) p(x)
+    is not positive.  On a grid target f is evaluated on arrays of table
+    nodes, so it must accept arrays.  E[f] is ``g.mean_value``.
     """
+    if (isinstance(f, np.polynomial.Polynomial) and target.coeff.kind == "polynomial"
+            and target.has_moment(f.degree())):
+        return _pearson_solution(target, f)
     density = target.density
     m_f = target._integral(f)
     pivot = float(target.ppf(0.5)) if target.ppf is not None else target.mean
@@ -673,6 +684,25 @@ def stein_solution(target, f):
                        lambda x: target.coeff(x) * density(x),
                        target.support, lambda x: x <= pivot)
     g.mean_value = m_f
+    return g
+
+
+def _pearson_solution(target, f):
+    """g = sum_j c_j x^j solving (1/2) a g' + (m - x) g = f - E[f]: the
+    x^(j+1) equation (j alpha/2 - 1) c_j + ((j+1) beta/2 + m) c_{j+1}
+    + (j+2) gamma/2 c_{j+2} = f_{j+1} is solved from the top down (pivots
+    nonzero while E|X|^k < inf; Forman & Sorensen 2008), and the x^0 one
+    gives E[f] = f_0 - m c_0 - gamma/2 c_1."""
+    alpha, beta, gamma = target.coeff.as_tuple()
+    m = target.mean
+    fc = f.convert().coef.tolist()
+    k = len(fc) - 1
+    c = [0.0] * (k + 2)
+    for j in range(k - 1, -1, -1):
+        c[j] = (fc[j + 1] - ((j + 1) * beta / 2 + m) * c[j + 1]
+                - (j + 2) * gamma / 2 * c[j + 2]) / (j * alpha / 2 - 1)
+    g = np.polynomial.Polynomial(c[:max(k, 1)])
+    g.mean_value = fc[0] - m * c[0] - gamma / 2 * c[1]
     return g
 
 
@@ -700,16 +730,22 @@ def _stein_operator(target, h, dh=None):
 def stein_solution_residual(target, f, xs):
     """Residual (1/2) a g' + b g - (f - m_f) at points xs.
 
-    g' is a five-point central difference with step _FD_STEP times the
-    target's length scale; points are clamped so the stencil stays interior.
+    For a closed-form (Polynomial) g, g' is exact and no integral is taken.
+    Otherwise g' is a five-point central difference with step _FD_STEP
+    times the target's length scale.  Points are clamped to the inset
+    support, less the stencil's reach.
     """
     g = stein_solution(target, f)
-    step = _FD_STEP * target.length_scale()
-    op = _stein_operator(target, g, lambda x: _derivative5(g, x, step))
+    closed = isinstance(g, np.polynomial.Polynomial)
+    step = 0.0 if closed else _FD_STEP * target.length_scale()
+    op = _stein_operator(target, g, g.deriv() if closed
+                         else lambda x: _derivative5(g, x, step))
     lo, hi = _inset_bounds(target.support)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     xs = np.clip(xs, lo + 2 * step if math.isfinite(lo) else -np.inf,
                  hi - 2 * step if math.isfinite(hi) else np.inf)
+    if closed:
+        return op(xs) - (f(xs) - g.mean_value)
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
         out[i] = op(x) - (f(x) - g.mean_value)

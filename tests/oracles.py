@@ -31,8 +31,11 @@ def raw_to_dense(raw, dim, order):
 
 
 def dense(kernel):
-    """Dense tensor of a SymmetricKernel via its raw (orbit-expanded) form."""
-    return raw_to_dense(kernel.to_raw(), kernel.dim, kernel.order)
+    """Dense tensor of a SymmetricKernel: each entry at every rearrangement
+    of its index."""
+    raw = {perm: v for idx, v in kernel.entries.items()
+           for perm in set(itertools.permutations(idx))}
+    return raw_to_dense(raw, kernel.dim, kernel.order)
 
 
 def dense_sym(T):

@@ -478,8 +478,37 @@ def test_self_contraction_memo_stays_out_of_eq_and_repr():
     used, fresh = SymmetricKernel(3, 2, entries), SymmetricKernel(3, 2, entries)
     h = used.self_contraction(1)
     assert used.self_contraction(1) is h
+    assert used.norm_sq() == used.norm_sq() == 0.5**2 + 2 * 1.0 + 2 * 0.25**2
     assert h == contract(fresh, fresh, 1).symmetrized()
     assert used == fresh and repr(used) == repr(fresh)
+
+
+def test_run_family_diagnostics_sums_each_norm_once(monkeypatch):
+    import chaoslimits.chaos
+
+    kernels, inside, summed = {}, [], {}
+    norm_sq, multiplicity = SymmetricKernel.norm_sq, chaoslimits.chaos.multiplicity
+
+    def counting_norm_sq(self):
+        kernels[id(self)] = self
+        inside.append(id(self))
+        try:
+            return norm_sq(self)
+        finally:
+            inside.pop()
+
+    def counting_multiplicity(idx):
+        if inside:
+            summed[inside[-1]] = summed.get(inside[-1], 0) + 1
+        return multiplicity(idx)
+
+    monkeypatch.setattr(SymmetricKernel, "norm_sq", counting_norm_sq)
+    monkeypatch.setattr(chaoslimits.chaos, "multiplicity", counting_multiplicity)
+    run_family_diagnostics(gaussian_clt_family(), [64], beta_target(2.0, 3.0))
+    assert len(kernels) >= 2
+    # the sum visits each entry of each kernel object once, however many calls
+    assert {i: summed.get(i, 0) for i in kernels} == {
+        i: len(k.entries) for i, k in kernels.items()}
 
 
 def test_run_family_diagnostics_guards():

@@ -20,6 +20,7 @@ from chaoslimits import (
     SimConfig,
 )
 from chaoslimits.io import format_float, load_samples, save_target
+from test_golden_cli import TARGET_PARAMS
 
 
 # --- float and JSON formatting -----------------------------------------------------------
@@ -225,6 +226,23 @@ def test_cli_stein_check_named(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert max(doc["max_abs_residual"].values()) < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_PARAMS))
+def test_cli_stein_check_named_targets_at_rounding_level(capsys, name):
+    # x and x^2 take the closed-form polynomial Stein solution
+    code, out, _ = run_cli(capsys, ["stein-check", "--name", name, *TARGET_PARAMS[name]])
+    assert code == 0
+    assert max(json.loads(out)["max_abs_residual"].values()) <= 1e-12
+
+
+def test_cli_stein_check_inverse_gamma_near_its_moment_bound(capsys):
+    # E X^2 exists for lambda = 2.5; the quadrature route's x^2 residual was
+    # 6.5e-6, past the 1e-6 tolerance
+    code, out, _ = run_cli(capsys, ["stein-check", "--name", "inverse_gamma",
+                                    "--a", "3", "--lambda", "2.5"])
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 def test_cli_stein_check_grid_target_file(capsys):

@@ -1,4 +1,5 @@
 """Euler--Maruyama sampling, distances, and empirical Stein checks."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.stats
 
 from chaoslimits import (
+    DiffusionCoefficient,
     EmpiricalDistribution,
     SimConfig,
     beta_target,
@@ -100,8 +102,21 @@ def test_simulate_dt_halving_is_stable():
 
 def test_simulate_overflow_raises():
     t = normal_target(1.0)
-    with pytest.raises(RuntimeError, match="dt too large"):
+    with pytest.raises(RuntimeError) as overflow:
         simulate(t, SimConfig(dt=1e9, burn_in=10, samples=10, seed=1))
+    assert str(overflow.value) == (
+        "state overflow at step 2: dt too large for the coefficient's stiffness")
+
+
+def test_simulate_nonpositive_coefficient_raises():
+    # a(x) = 1 + x turns negative once the chain passes -1
+    tilted = dataclasses.replace(normal_target(1.0),
+                                 coeff=DiffusionCoefficient.polynomial(0.0, 1.0, 1.0))
+    with pytest.raises(RuntimeError) as negative:
+        simulate(tilted, SimConfig(dt=0.5, burn_in=100, samples=10, seed=1))
+    assert str(negative.value) == (
+        "diffusion coefficient -1.2482481315568688 <= 0 at x = -2.2482481315568688:"
+        " dt too large for the coefficient's stiffness")
 
 
 def test_clamp_fraction_reporting():
@@ -124,6 +139,17 @@ def test_simulate_numeric_coefficient_equals_reference_chain():
     ref = naive_em(t, cfg)
     assert ref.size == cfg.samples
     assert np.array_equal(simulate(t, cfg).values, np.sort(ref))
+
+
+def test_clamping_beta_chain_equals_reference_chain():
+    # beta(1/2, 1/2) has beta = 0, so the chain's Horner form of a(x) rounds
+    # like the reference's expanded one and the two chains agree bit for bit
+    t = beta_target(0.5, 0.5)
+    cfg = SimConfig(dt=2e-3, burn_in=500, samples=500, thinning=4, seed=9,
+                    boundary_epsilon=0.05)
+    e = simulate(t, cfg)
+    assert np.array_equal(e.values, np.sort(naive_em(t, cfg)))
+    assert e.clamp_fraction == 0.0268
 
 
 def test_simulate_polynomial_coefficient_matches_reference_chain():

@@ -1,5 +1,6 @@
 """Target measures: coefficient closed forms, moments, Stein solutions."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.integrate
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from numpy.polynomial import Polynomial
 
 from chaoslimits import (
     DiffusionCoefficient,
@@ -410,6 +412,87 @@ def test_stein_solution_mean_value_recorded():
     t = beta_target(2.0, 2.0)
     g = stein_solution(t, lambda y: y**2)
     assert math.isclose(g.mean_value, t.moment(2), rel_tol=1e-8)
+
+
+# --- closed-form Stein solutions for polynomial f ---------------------------------------
+
+# Parameter ranges inside each named target's valid range.  The shapes keep
+# the density bounded (beta and gamma shapes >= 1, F's a >= 2): at a
+# singular endpoint the quad oracle itself drifts to ~1e-6 relative.  For
+# the same reason f keeps one moment to spare: with E|X|^(k+1) infinite the
+# oracle's tail integrals converge too slowly (2e-8 off on F(2, 5), x^2).
+_NAMED_RANGES = {
+    "normal": {"gamma": (0.2, 5.0)},
+    "student": {"nu": (2.5, 30.0)},
+    "pareto": {"nu": (2.5, 30.0)},
+    "gamma": {"a": (1.0, 10.0), "lam": (0.3, 5.0)},
+    "inverse_gamma": {"delta": (0.3, 5.0), "lam": (2.5, 30.0)},
+    "f": {"a": (2.0, 20.0), "b": (4.5, 40.0)},
+    "uniform": {},
+    "beta": {"a": (1.0, 10.0), "b": (1.0, 10.0)},
+}
+
+
+@hst.composite
+def _named_target_and_polynomial(draw):
+    name = draw(hst.sampled_from(sorted(_NAMED_RANGES)))
+    params = {k: draw(hst.floats(lo, hi)) for k, (lo, hi) in _NAMED_RANGES[name].items()}
+    t = named_target(name, **params)
+    degree = draw(hst.integers(1, 4).filter(lambda k: t.has_moment(k + 1)))
+    coef = draw(hst.lists(hst.floats(-2.0, 2.0), min_size=degree + 1,
+                          max_size=degree + 1).filter(lambda c: c[-1] != 0.0))
+    return t, Polynomial(coef)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_named_target_and_polynomial())
+def test_pearson_solution_matches_quad_route(case):
+    # the same f as a lambda takes the quad route, the tests' oracle; its
+    # tolerances (1e-10 absolute, 1e-8 relative) set the floor max(1, |.|)
+    t, f = case
+    g, oracle = stein_solution(t, f), stein_solution(t, lambda y: f(y))
+    xs = t.interior_grid(7)
+    want = oracle(xs)
+    assert np.all(np.abs(g(xs) - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    assert abs(g.mean_value - oracle.mean_value) <= 1e-9 * max(1.0, abs(oracle.mean_value))
+
+
+def test_pearson_solution_makes_no_quad_call(monkeypatch):
+    import chaoslimits.targets
+
+    calls = []
+    original = chaoslimits.targets._quad
+
+    def counting(fn, lo, hi):
+        calls.append((lo, hi))
+        return original(fn, lo, hi)
+
+    monkeypatch.setattr(chaoslimits.targets, "_quad", counting)
+    for name, params in (("normal", {"gamma": 1.0}), ("student", {"nu": 7.0}),
+                         ("inverse_gamma", {"delta": 3.0, "lam": 4.0}),
+                         ("beta", {"a": 2.0, "b": 3.0})):
+        t = named_target(name, **params)
+        for f in (Polynomial([0.0, 1.0]), Polynomial([0.5, 0.0, 1.0, -0.25])):
+            stein_solution(t, f)
+            res = stein_solution_residual(t, f, t.interior_grid(20))
+            assert np.max(np.abs(res)) <= 1e-12
+    assert calls == []
+    stein_solution(normal_target(1.0), lambda y: y)  # the lambda route counts
+    assert calls
+
+
+def test_polynomial_past_the_moment_bound_takes_the_quad_route():
+    # E|X|^3 is infinite for Student nu = 2.5: no closed form, and the
+    # Polynomial gives exactly what the same f as a lambda gives
+    t, f = student_target(2.5), Polynomial([0.0, 0.0, 0.0, 1.0])
+    assert not t.has_moment(f.degree())
+    xs = t.interior_grid(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        g, ref = stein_solution(t, f), stein_solution(t, lambda y: f(y))
+        assert not isinstance(g, Polynomial)
+        assert np.array_equal(g(xs), ref(xs))
+        assert g.mean_value == ref.mean_value
 
 
 # --- the exactly solvable inner products ------------------------------------------------
