@@ -69,15 +69,13 @@ from .diagnostics import (
     gaussian_clt_family,
     lemma_l11_gap,
     lemma_l2_combination,
+    mc_twins,
     moment3,
     moment4,
     prop24_gap,
-    prop24_gap_mc,
     run_family_diagnostics,
-    stein_discrepancy_l1_mc,
     stein_residual_l2,
     stein_residual_l2_direct,
-    stein_residual_l2_mc,
 )
 from .simulate import (
     EmpiricalDistribution,

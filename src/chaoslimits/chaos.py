@@ -225,20 +225,12 @@ class SymmetricKernel:
         return memo[p]
 
 
-def symmetrize(raw, dim=None, order=None):
+def symmetrize(raw, dim, order):
     """Symmetrize a raw tensor given as {multi-index tuple: value}.
 
     The raw map is read literally: index tuples not present are zero (the
-    orbit of a listed tuple is *not* implied).  Also accepts a
-    ``SymmetricKernel`` (returned as-is; symmetrization is idempotent) or a
-    ``BlockKernel`` (the unsymmetrized contraction result).
+    orbit of a listed tuple is *not* implied).
     """
-    if isinstance(raw, SymmetricKernel):
-        return raw
-    if isinstance(raw, BlockKernel):
-        return raw.symmetrized()
-    if dim is None or order is None:
-        raise ValueError("dim and order are required for raw dict input")
     out = {}
     for idx, v in raw.items():
         idx = tuple(int(i) for i in idx)
@@ -573,13 +565,11 @@ def iter_gaussian_chunks(dim, count, seed, chunk_size=65536):
         c += 1
 
 
-def sample_gaussian(dim, count, seed, chunk_size=65536):
+def sample_gaussian(dim, count, seed):
     """(count, dim) array of i.i.d. standard normals; see iter_gaussian_chunks."""
     if count == 0:
         return np.empty((0, dim))
-    return np.concatenate(
-        list(iter_gaussian_chunks(dim, count, seed, chunk_size)), axis=0
-    )
+    return np.concatenate(list(iter_gaussian_chunks(dim, count, seed)), axis=0)
 
 
 def random_kernel(rng, dim, order, nnz):

@@ -20,6 +20,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -92,11 +93,6 @@ def _resolve_target(args):
     return cio.load_target(source)
 
 
-def _target_doc(target):
-    params = {cio.file_param_name(k): v for k, v in target.params.items()}
-    return {"name": target.name, "params": params}
-
-
 def _emit(doc, out=None):
     text = cio.dumps_struct(doc)
     print(text)
@@ -119,7 +115,7 @@ def _cmd_targets_coeffs(args):
     alpha, beta, gamma = target.coeff.as_tuple()
     _emit({
         "schema_version": cio.SCHEMA_VERSION,
-        "target": _target_doc(target),
+        "target": cio.target_to_dict(target),
         "alpha": alpha,
         "beta": beta,
         "gamma": gamma,
@@ -128,21 +124,13 @@ def _cmd_targets_coeffs(args):
 
 
 def _verdict_doc(v):
-    doc = {
-        "kind": v.kind,
-        "reason": v.reason,
-        "alpha": v.alpha,
-        "beta": v.beta,
-        "gamma": v.gamma,
-        "c0": v.c0,
-        "delta": v.delta,
-        "ec_discriminant": v.ec_discriminant,
-        "roots": list(v.roots),
-    }
-    if v.gamma_params is not None:
+    doc = dataclasses.asdict(v)
+    if v.gamma_params is None:
+        del doc["gamma_params"]
+    else:
         doc["gamma_params"] = {"lambda": v.gamma_params[0], "a": v.gamma_params[1]}
-    if v.c0_sign_argument_applies is not None:
-        doc["c0_sign_argument_applies"] = v.c0_sign_argument_applies
+    if v.c0_sign_argument_applies is None:
+        del doc["c0_sign_argument_applies"]
     return doc
 
 
@@ -201,9 +189,7 @@ def _cmd_diagnose(args):
         "schema_version": cio.SCHEMA_VERSION,
         "family": report.family,
         "order": report.order,
-        "target": {"name": report.target_name, "params": {
-            cio.file_param_name(k): v for k, v in report.target_params.items()
-        }},
+        "target": cio.target_to_dict(target),
         "coeff": {"alpha": report.coeff[0], "beta": report.coeff[1],
                   "gamma": report.coeff[2]},
         "members": members,
@@ -228,7 +214,7 @@ def _cmd_simulate(args):
     dictionary, dict_ok = stein_dictionary_test(emp, target)
     doc = {
         "schema_version": cio.SCHEMA_VERSION,
-        "target": _target_doc(target),
+        "target": cio.target_to_dict(target),
         "config": dict(emp.meta),
         "results": {
             "count": emp.count,
@@ -268,7 +254,7 @@ def _cmd_stein_check(args):
     ok = worst < _STEIN_CHECK_TOL
     _emit({
         "schema_version": cio.SCHEMA_VERSION,
-        "target": _target_doc(target),
+        "target": cio.target_to_dict(target),
         "grid_points": len(xs),
         "max_abs_residual": residuals,
         "tolerance": _STEIN_CHECK_TOL,

@@ -7,7 +7,7 @@ a(x) = alpha x^2 + beta x + gamma:
 - ``moment3`` / ``moment4``: exact E[F^3], E[F^4] from contraction norms;
 - ``stein_residual_l2`` / ``prop24_gap``: E[(a(F)/2 - n^{-1}||DF||^2)^2] and
   the energy gap from E[F^2] and f ~x_r f, r >= 1 (cross-checked by direct
-  chaos subtraction and Monte Carlo);
+  chaos subtraction and by the Monte Carlo ``mc_twins``);
 - ``lemma_l2_combination``: the exact moment combination
   E[F^4 - (3/2) a(F) F^2] whose limit isolates the constant C0;
 - ``classifier``: the sign analysis of C0 and of the discriminant of the
@@ -51,10 +51,8 @@ __all__ = [
     "classifier",
     "stein_residual_l2",
     "stein_residual_l2_direct",
-    "stein_residual_l2_mc",
-    "stein_discrepancy_l1_mc",
+    "mc_twins",
     "prop24_gap",
-    "prop24_gap_mc",
     "lemma_l2_combination",
     "gamma_kernel_gap",
     "lemma_l11_gap",
@@ -323,10 +321,11 @@ def _mean_stderr(values):
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def _mc_twins(f, coeff, samples, seed):
-    """The three Monte Carlo estimators from one draw of ``samples`` points:
-    (``stein_residual_l2_mc``, ``prop24_gap_mc``, ``stein_discrepancy_l1_mc``),
-    each a (value, stderr) pair."""
+def mc_twins(f, coeff, samples, seed):
+    """Monte Carlo twins of ``stein_residual_l2``, ``prop24_gap`` and the L^1
+    discrepancy E|a(F)/2 - n^{-1}||DF||^2| (reported as-is, no constant
+    asserted) from one draw of ``samples`` Gaussian points: three
+    (value, stderr) pairs, the gap's stderr being that of the difference."""
     x = sample_gaussian(f.dim, samples, seed)
     half_a, k = _pathwise_parts(f, coeff, x)
     gap, gap_stderr = _mean_stderr(half_a**2 - k**2)
@@ -335,20 +334,6 @@ def _mc_twins(f, coeff, samples, seed):
         (abs(gap), gap_stderr),
         _mean_stderr(np.abs(half_a - k)),
     )
-
-
-def stein_residual_l2_mc(f, coeff, samples, seed):
-    """Monte Carlo route (slice-based pathwise evaluation): (value, stderr)."""
-    return _mc_twins(f, coeff, samples, seed)[0]
-
-
-def stein_discrepancy_l1_mc(f, coeff, samples, seed):
-    """Monte Carlo E|a(F)/2 - n^{-1}||DF||^2|: (value, stderr).
-
-    This is the raw expectation entering the distance bound; no constant is
-    asserted, the number is reported as-is.
-    """
-    return _mc_twins(f, coeff, samples, seed)[2]
 
 
 def prop24_gap(f, coeff):
@@ -361,11 +346,6 @@ def prop24_gap(f, coeff):
     egamma2 = sum(((r / n) ** 2 * w for r, w in _contraction_weights(f).items()),
                   ef2 * ef2)
     return abs(0.25 * ea2 - egamma2)
-
-
-def prop24_gap_mc(f, coeff, samples, seed):
-    """Monte Carlo version of ``prop24_gap``: (value, stderr of the difference)."""
-    return _mc_twins(f, coeff, samples, seed)[1]
 
 
 def lemma_l2_combination(f, coeff):
@@ -509,7 +489,7 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
         if mc_samples:
             sub = int(seed) + 1000003 * j
             (rec["stein_residual_l2_mc"], rec["prop24_gap_mc"],
-             rec["stein_discrepancy_l1"]) = _mc_twins(f, coeff, mc_samples, sub)
+             rec["stein_discrepancy_l1"]) = mc_twins(f, coeff, mc_samples, sub)
         members.append(rec)
     verdict = classifier(
         alpha, beta, gamma,

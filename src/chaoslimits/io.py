@@ -148,25 +148,23 @@ def load_kernel(path):
 # --- targets -------------------------------------------------------------------
 
 def target_to_dict(target):
-    """File form of a named target (custom grid targets are not re-dumpable)."""
-    if target.name not in NAMED_TARGETS:
-        raise ValueError(f"target {target.name!r} has no canonical file form")
-    params = {_KW_TO_PARAM.get(k, k): v for k, v in target.params.items()}
-    return {"name": target.name, "params": params}
+    """{"name", "params"} with file-spelled parameter keys, as reports show it."""
+    return {"name": target.name,
+            "params": {file_param_name(k): v for k, v in target.params.items()}}
 
 
 def save_target(target, path):
+    """Write a named target's file (custom grid targets are not re-dumpable)."""
+    if target.name not in NAMED_TARGETS:
+        raise ValueError(f"target {target.name!r} has no canonical file form")
     with open(path, "w") as fh:
         fh.write(dumps_struct(target_to_dict(target)) + "\n")
 
 
-def load_target(source):
-    """Build a TargetMeasure from a file path or an already-parsed dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+def load_target(path):
+    """Build a TargetMeasure from a target file."""
+    with open(path) as fh:
+        doc = json.load(fh)
     if "name" not in doc:
         raise ValueError("target file: missing field 'name'")
     name = doc["name"]

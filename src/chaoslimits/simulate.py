@@ -21,7 +21,7 @@ import numpy as np
 import scipy.stats
 
 from .chaos import iter_gaussian_chunks
-from .targets import _stein_operator
+from .targets import _pivot, _stein_operator
 
 __all__ = [
     "SimConfig",
@@ -36,6 +36,7 @@ __all__ = [
 
 _OVERFLOW = 1e15
 _CLAMP_REPORT_THRESHOLD = 1e-3
+_DICTIONARY_Z = 5.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class EmpiricalDistribution:
     """Sorted sample values plus a config echo and the clamping rate."""
 
     values: np.ndarray
-    count: int = None
     clamp_fraction: float = 0.0
     meta: dict = field(default_factory=dict)
 
@@ -78,7 +78,10 @@ class EmpiricalDistribution:
         if v.size < 2:
             raise ValueError("an empirical distribution needs at least 2 samples")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "count", int(v.size))
+
+    @property
+    def count(self):
+        return int(self.values.size)
 
     @property
     def clamping_flagged(self):
@@ -98,13 +101,11 @@ class EmpiricalDistribution:
 def simulate(target, cfg):
     """Run one Euler-Maruyama chain and return the thinned post-burn-in draws.
 
-    The chain starts at the target median, projects into the eps-inset of the
-    support after every step, and raises on overflow (|X| > 1e15 or NaN) or on
-    a non-positive diffusion coefficient -- both symptoms of a dt too large
-    for the coefficient's stiffness.
+    The chain starts at the target median (the mean without a ppf), projects
+    into the eps-inset of the support after every step, and raises on
+    overflow (|X| > 1e15 or NaN) or on a non-positive diffusion coefficient --
+    both symptoms of a dt too large for the coefficient's stiffness.
     """
-    if not isinstance(cfg, SimConfig):
-        cfg = SimConfig(**cfg)
     l, u = target.support
     eps = cfg.boundary_epsilon
     lo = l + eps if math.isfinite(l) else -math.inf
@@ -117,8 +118,7 @@ def simulate(target, cfg):
 
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
-    x = float(target.ppf(0.5))
-    x = min(max(x, lo), hi)
+    x = min(max(_pivot(target), lo), hi)
 
     total = cfg.burn_in + cfg.samples * cfg.thinning
     out = np.empty(cfg.samples)
@@ -209,11 +209,11 @@ STEIN_DICTIONARY = (
 )
 
 
-def stein_dictionary_test(e, target, threshold=5.0):
+def stein_dictionary_test(e, target):
     """Run the residual over the fixed dictionary; (results, all_pass).
 
     results maps the function name to (mean, stderr, z); the sample passes
-    when every |z| is below ``threshold``.
+    when every |z| is below 5.
     """
     results = {}
     ok = True
@@ -221,5 +221,5 @@ def stein_dictionary_test(e, target, threshold=5.0):
         mean, stderr = stein_residual_empirical(e, target, h, dh)
         z = abs(mean) / stderr if stderr > 0 else math.inf
         results[name] = (mean, stderr, z)
-        ok = ok and z < threshold
+        ok = ok and z < _DICTIONARY_Z
     return results, ok

@@ -661,6 +661,12 @@ def coeff_from_density(density, support, mean=0.0, cdf=None):
         lambda y: mean - y, _quad_cumulative(density, (l, u)), density, (l, u), left))
 
 
+def _pivot(target):
+    """The target's median, or its mean when it has no ppf: where a Stein
+    solution switches tails and where a chain starts."""
+    return float(target.ppf(0.5)) if target.ppf is not None else target.mean
+
+
 def stein_solution(target, f):
     """Solve (1/2) a g' + b g = f - E[f] for g; returns a callable.
 
@@ -679,7 +685,7 @@ def stein_solution(target, f):
         return _pearson_solution(target, f)
     density = target.density
     m_f = target._integral(f)
-    pivot = float(target.ppf(0.5)) if target.ppf is not None else target.mean
+    pivot = _pivot(target)
     g = _tail_quotient(lambda y: f(y) - m_f, target._tails,
                        lambda x: target.coeff(x) * density(x),
                        target.support, lambda x: x <= pivot)
@@ -733,23 +739,18 @@ def stein_solution_residual(target, f, xs):
     For a closed-form (Polynomial) g, g' is exact and no integral is taken.
     Otherwise g' is a five-point central difference with step _FD_STEP
     times the target's length scale.  Points are clamped to the inset
-    support, less the stencil's reach.
+    support, less the stencil's reach.  f is evaluated on the array of
+    points, so it must accept arrays.
     """
     g = stein_solution(target, f)
     closed = isinstance(g, np.polynomial.Polynomial)
     step = 0.0 if closed else _FD_STEP * target.length_scale()
     op = _stein_operator(target, g, g.deriv() if closed
                          else lambda x: _derivative5(g, x, step))
-    lo, hi = _inset_bounds(target.support)
+    lo, hi = _inset_bounds(target.support)  # an infinite end stays infinite
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    xs = np.clip(xs, lo + 2 * step if math.isfinite(lo) else -np.inf,
-                 hi - 2 * step if math.isfinite(hi) else np.inf)
-    if closed:
-        return op(xs) - (f(xs) - g.mean_value)
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        out[i] = op(x) - (f(x) - g.mean_value)
-    return out
+    xs = np.clip(xs, lo + 2 * step, hi - 2 * step)
+    return op(xs) - (f(xs) - g.mean_value)
 
 
 def stein_identity_residual(target, h, dh=None):

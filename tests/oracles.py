@@ -136,7 +136,8 @@ def naive_em(target, cfg):
     """Reference Euler-Maruyama chain: the kept draws in chain order.
 
     Calls ``target.coeff(x)`` and ``target.drift(x)`` generically at every
-    step, on the noise stream, clamping and thinning of ``simulate``.
+    step, on the start point (the median, else the mean), noise stream,
+    clamping and thinning of ``simulate``.
     """
     from chaoslimits.chaos import iter_gaussian_chunks
 
@@ -144,7 +145,8 @@ def naive_em(target, cfg):
     eps = cfg.boundary_epsilon
     lo = l + eps if math.isfinite(l) else -math.inf
     hi = u - eps if math.isfinite(u) else math.inf
-    x = min(max(float(target.ppf(0.5)), lo), hi)
+    x0 = float(target.ppf(0.5)) if target.ppf is not None else target.mean
+    x = min(max(x0, lo), hi)
     total = cfg.burn_in + cfg.samples * cfg.thinning
     noise = np.concatenate(list(iter_gaussian_chunks(1, total, cfg.seed)))
     kept = []

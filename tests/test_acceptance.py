@@ -235,7 +235,7 @@ def test_criterion_8_simulation_ergodicity():
                         thinning=100, seed=seed)
         e = simulate(target, cfg)
         ks = ks_distance(e, target)
-        results, dict_ok = stein_dictionary_test(e, target, threshold=5.0)
+        results, dict_ok = stein_dictionary_test(e, target)
         worst_ks = max(worst_ks, ks)
         worst_z = max(worst_z, max(z for _, _, z in results.values()))
         ok = ok and ks < 0.03 and dict_ok and not e.clamping_flagged

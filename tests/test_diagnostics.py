@@ -23,18 +23,16 @@ from chaoslimits import (
     gaussian_clt_family,
     lemma_l2_combination,
     lemma_l11_gap,
+    mc_twins,
     moment3,
     moment4,
     named_target,
     normal_target,
     prop24_gap,
-    prop24_gap_mc,
     random_kernel,
     run_family_diagnostics,
-    stein_discrepancy_l1_mc,
     stein_residual_l2,
     stein_residual_l2_direct,
-    stein_residual_l2_mc,
     student_target,
     target_from_density_grid,
     uniform_centered_target,
@@ -292,7 +290,7 @@ def test_residual_mc_tracks_exact():
     f = random_kernel(rng, 3, 2, nnz=4)
     coeff = (0.0, 0.0, 2.0)
     exact = stein_residual_l2(f, coeff)
-    est, se = stein_residual_l2_mc(f, coeff, 40000, seed=21)
+    est, se = mc_twins(f, coeff, 40000, seed=21)[0]
     assert se > 0
     assert abs(est - exact) < 5 * se
 
@@ -302,15 +300,15 @@ def test_prop24_gap_mc_tracks_exact():
     f = random_kernel(rng, 3, 2, nnz=4)
     coeff = (0.0, 1.0, 1.0)
     exact = prop24_gap(f, coeff)
-    est, se = prop24_gap_mc(f, coeff, 40000, seed=22)
+    est, se = mc_twins(f, coeff, 40000, seed=22)[1]
     assert abs(est - exact) < 5 * se + 1e-12
 
 
 def test_stein_discrepancy_l1_decreases_for_clt_family():
     fam = gaussian_clt_family()
     coeff = (0.0, 0.0, 2.0)
-    small, _ = stein_discrepancy_l1_mc(fam(2), coeff, 30000, seed=23)
-    large, _ = stein_discrepancy_l1_mc(fam(32), coeff, 30000, seed=23)
+    small, _ = mc_twins(fam(2), coeff, 30000, seed=23)[2]
+    large, _ = mc_twins(fam(32), coeff, 30000, seed=23)[2]
     assert large < small
 
 
@@ -408,15 +406,23 @@ def test_run_family_diagnostics_gamma_report():
         assert rec["stein_residual_l2_chaos"] == 0.0
 
 
-def test_run_family_diagnostics_mc_twins():
-    report = run_family_diagnostics(
-        gaussian_clt_family(), [2, 4], normal_target(1.0),
-        mc_samples=20000, seed=31,
-    )
-    for rec in report.members:
+def test_run_family_diagnostics_mc_twins(monkeypatch):
+    import chaoslimits.diagnostics as diag
+
+    draws = []
+    sample = diag.sample_gaussian
+    monkeypatch.setattr(diag, "sample_gaussian",
+                        lambda *args: draws.append(args) or sample(*args))
+    fam, t = gaussian_clt_family(), normal_target(1.0)
+    report = run_family_diagnostics(fam, [2, 4], t, mc_samples=20000, seed=31)
+    assert len(draws) == 2  # one draw per member
+    for j, (m, rec) in enumerate(zip([2, 4], report.members)):
         est, se = rec["stein_residual_l2_mc"]
         assert abs(est - rec["stein_residual_l2_chaos"]) < 5 * se
-        assert "prop24_gap_mc" in rec and "stein_discrepancy_l1" in rec
+        # the record's three pairs are mc_twins at the member's own seed, bit for bit
+        want = mc_twins(fam(m), t.coeff, 20000, 31 + 1000003 * j)
+        assert (rec["stein_residual_l2_mc"], rec["prop24_gap_mc"],
+                rec["stein_discrepancy_l1"]) == want
 
 
 def test_run_family_diagnostics_clt_large_m():

@@ -10,6 +10,7 @@ from chaoslimits import (
     DiffusionCoefficient,
     EmpiricalDistribution,
     SimConfig,
+    TargetMeasure,
     beta_target,
     gamma_target,
     ks_distance,
@@ -48,6 +49,11 @@ def test_empirical_distribution_sorts_and_counts():
     assert e.quantile(0.5) == 2.0
     with pytest.raises(ValueError):
         EmpiricalDistribution(np.array([1.0]))
+    # the count is read off the values, never given
+    with pytest.raises(TypeError):
+        EmpiricalDistribution(np.array([3.0, 1.0, 2.0]), count=99)
+    with pytest.raises(AttributeError):
+        e.count = 99
 
 
 def test_simulate_is_deterministic():
@@ -150,6 +156,24 @@ def test_clamping_beta_chain_equals_reference_chain():
     e = simulate(t, cfg)
     assert np.array_equal(e.values, np.sort(naive_em(t, cfg)))
     assert e.clamp_fraction == 0.0268
+
+
+def test_simulate_starts_at_the_median_else_the_mean():
+    # Gamma(2, 1) moved to (5, inf) with no cdf or ppf starts at its mean 7
+    def density(x):
+        y = np.asarray(x, dtype=float) - 5.0
+        return np.where(y > 0.0, y * np.exp(-np.maximum(y, 0.0)), 0.0)
+
+    shifted = TargetMeasure(name="shifted_gamma", support=(5.0, np.inf),
+                            density=density, mean=7.0,
+                            coeff=DiffusionCoefficient.polynomial(0.0, 2.0, -10.0))
+    named = gamma_target(2.0, 1.0)
+    tiny = SimConfig(dt=1e-12, burn_in=0, samples=2, thinning=1, seed=3)
+    for t, start in ((shifted, 7.0), (named, float(named.ppf(0.5)))):
+        assert np.allclose(simulate(t, tiny).values, start, rtol=0.0, atol=1e-4)
+    cfg = SimConfig(dt=1e-3, burn_in=100, samples=50, thinning=2, seed=3)
+    ref = np.sort(naive_em(shifted, cfg))
+    assert np.max(np.abs(simulate(shifted, cfg).values - ref)) <= 1e-11
 
 
 def test_simulate_polynomial_coefficient_matches_reference_chain():
