@@ -28,6 +28,7 @@ these sparse maps, done in floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -85,8 +86,10 @@ def _hermite_monic_table(max_order, x):
     return out
 
 
+@functools.cache
 def multiplicity(idx):
-    """Orbit size of a multi-index: n! / prod(count of each value)!."""
+    """Orbit size of a multi-index: n! / prod(count of each value)!.
+    Cached process-wide, so the index must be a tuple."""
     m = math.factorial(len(idx))
     for _, grp in itertools.groupby(idx):
         m //= math.factorial(sum(1 for _ in grp))
@@ -138,6 +141,15 @@ class SymmetricKernel:
         object.__setattr__(self, "_self_contractions", {})
         object.__setattr__(self, "_norm_sq", None)
 
+    @classmethod
+    def _trusted(cls, dim, order, entries):
+        """Kernel from entries the library made (canonical sorted int tuples in
+        range, float values): no index checks, but exact zeros still drop."""
+        k = object.__new__(cls)
+        vars(k).update(dim=dim, order=order, _self_contractions={}, _norm_sq=None,
+                       entries={i: v for i, v in entries.items() if v != 0.0})
+        return k
+
     # --- constructors -------------------------------------------------
     @staticmethod
     def zero(dim, order):
@@ -161,7 +173,7 @@ class SymmetricKernel:
 
     # --- linear structure ----------------------------------------------
     def _like(self, entries):
-        return SymmetricKernel(self.dim, self.order, entries)
+        return SymmetricKernel._trusted(self.dim, self.order, entries)
 
     def __add__(self, other):
         if (other.dim, other.order) != (self.dim, self.order):
@@ -211,7 +223,7 @@ class SymmetricKernel:
             if i in idx:
                 pos = idx.index(i)
                 out[idx[:pos] + idx[pos + 1:]] = v
-        return SymmetricKernel(self.dim, self.order - 1, out)
+        return SymmetricKernel._trusted(self.dim, self.order - 1, out)
 
     def scaled_norm_sq(self):
         """n! ||f||^2 = E[I_n(f)^2], the chaos-isometric squared norm."""
@@ -276,7 +288,7 @@ class BlockKernel:
                     mult[idx] = multiplicity(idx)
             w = v * mult[a] * mult[b] / mult[u]
             out[u] = out.get(u, 0.0) + w
-        return SymmetricKernel(self.dim, self.order, out)
+        return SymmetricKernel._trusted(self.dim, self.order, out)
 
 
 def _distinct_subs(idx, r):
@@ -419,12 +431,19 @@ def eval_multiple_integral(f, x):
     he = _hermite_monic_table(max_order, pts)  # (order+1, N, dim)
     total = np.zeros(pts.shape[0])
     for _, kern in comps:
-        for idx, v in kern.entries.items():
-            term = np.full(pts.shape[0], v * multiplicity(idx))
-            for i, k in _counts(idx).items():
-                term = term * he[k][:, i]
-            total += term
+        _add_integral(total, kern, he)
     return float(total[0]) if single else total
+
+
+def _add_integral(total, kern, he):
+    """Add I_n(kern) at N points to ``total`` in place, reading a monic
+    Hermite table he of shape (k+1, N, dim) with k >= n; returns ``total``."""
+    for idx, v in kern.entries.items():
+        term = np.full(he.shape[1], v * multiplicity(idx))
+        for i, k in _counts(idx).items():
+            term = term * he[k][:, i]
+        total += term
+    return total
 
 
 def _contracted(f, g, r):

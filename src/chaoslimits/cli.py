@@ -165,7 +165,7 @@ def _cmd_diagnose(args):
             f"--family: unknown family {args.family!r}; choose from"
             f" {sorted(BUILTIN_FAMILIES)}"
         )
-    family = BUILTIN_FAMILIES[args.family](1 if args.a is None else args.a)
+    family = BUILTIN_FAMILIES[args.family](1 if args.k is None else args.k)
     ms = _parse_m_list(args.m)
     target = _resolve_target(args)
     report = run_family_diagnostics(
@@ -341,7 +341,10 @@ def build_parser():
 
     p = sub.add_parser("diagnose", help="kernel-family diagnostics report")
     p.add_argument("--family", required=True,
-                   help="gaussian_clt or gamma_fixed (k via --a)")
+                   help="gaussian_clt or gamma_fixed (k via --k)")
+    p.add_argument("--k", type=float,
+                   help="gamma_fixed family size k (default 1); the limit"
+                        " is Gamma(k/2, 1/2)")
     p.add_argument("--m", required=True,
                    help="comma-separated member indices, e.g. 1,2,4,8")
     p.add_argument("--mc", type=int, default=0,

@@ -33,8 +33,9 @@ from .chaos import (
     SymmetricKernel,
     chaos_product,
     contract,  # noqa: F401  (re-exported as chaoslimits.diagnostics.contract)
+    _add_integral,
+    _hermite_monic_table,
     derivative_slices,
-    eval_multiple_integral,
     expect_product,
     malliavin_inner,
     sample_gaussian,
@@ -276,7 +277,7 @@ def stein_residual_l2(f, coeff):
         if k % 2 == 0:
             r = n - k // 2
             s = f.self_contraction(r)
-            g = SymmetricKernel(f.dim, k, {(): gamma} if k == 0 else {})
+            g = SymmetricKernel._trusted(f.dim, k, {(): gamma} if k == 0 else {})
             if k == n and beta:
                 g = g + beta * f
             if alpha:
@@ -307,11 +308,12 @@ def _pathwise_parts(f, coeff, x):
     """(a(F)(x)/2, n^{-1}||DF||^2(x)) evaluated through derivative slices."""
     n = f.order
     alpha, beta, gamma = _as_coeff_tuple(coeff)
-    v = eval_multiple_integral(f, x)
+    he = _hermite_monic_table(n, x)  # one table serves F and every slice
+    v = _add_integral(np.zeros(x.shape[0]), f, he)
     aval = alpha * v * v + beta * v + gamma
     df2 = np.zeros(x.shape[0])
     for s in derivative_slices(f):
-        sv = eval_multiple_integral(s, x)
+        sv = _add_integral(np.zeros(x.shape[0]), s, he)
         df2 += sv * sv
     df2 *= n * n
     return 0.5 * aval, df2 / n

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from chaoslimits import (
     BlockKernel,
@@ -16,6 +18,7 @@ from chaoslimits import (
     hermite,
     iter_gaussian_chunks,
     malliavin_inner,
+    moment4,
     multiplicity,
     ou_inverse,
     random_kernel,
@@ -105,6 +108,44 @@ def test_kernel_rejects_bad_indices():
 def test_kernel_prunes_exact_zeros():
     k = SymmetricKernel(2, 2, {(0, 0): 0.0, (0, 1): 1.0})
     assert (0, 0) not in k.entries
+
+
+def _assert_validated_form(k):
+    """Entries are canonical sorted int tuples in range with nonzero floats,
+    so the validating constructor rebuilds the same kernel."""
+    for idx, v in k.entries.items():
+        assert type(idx) is tuple and all(type(i) is int for i in idx)
+        assert len(idx) == k.order and list(idx) == sorted(idx)
+        assert all(0 <= i < k.dim for i in idx)
+        assert type(v) is float and v != 0.0
+    assert k == SymmetricKernel(k.dim, k.order, dict(k.entries))
+
+
+def test_library_made_kernels_keep_the_constructor_invariants():
+    # +, -, c*f, symmetrized, slice_kernel and self_contraction skip the index
+    # checks, so their output must already be in the validated form
+    rng = np.random.default_rng(57)
+    for _ in range(20):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        f = random_kernel(rng, d, n, int(rng.integers(1, 12)))
+        g = random_kernel(rng, d, n, int(rng.integers(1, 12)))
+        made = [f + g, f - g, 2.5 * f, f * -0.75, *derivative_slices(f)]
+        made += [contract(f, g, r).symmetrized() for r in range(n + 1)]
+        made += [f.self_contraction(r) for r in range(n + 1)]
+        for k in made:
+            _assert_validated_form(k)
+    # exact zeros are dropped: cancellation, a zero factor and underflow
+    f = random_kernel(np.random.default_rng(58), 3, 2, 5)
+    assert f.entries
+    for k in (f - f, 0.0 * f, f * 0.0, 1e-300 * (1e-300 * f)):
+        assert k.entries == {}
+        _assert_validated_form(k)
+    # a block kernel antisymmetric across its blocks symmetrizes to zero
+    bk = BlockKernel(2, 1, 1, {((0,), (1,)): 1.5, ((1,), (0,)): -1.5})
+    assert bk.symmetrized().entries == {}
+    _assert_validated_form(bk.symmetrized())
+    # a slice at a coordinate no entry uses is empty
+    _assert_validated_form(SymmetricKernel(3, 2, {(0, 0): 1.0}).slice_kernel(2))
 
 
 def test_basis_and_symmetrize_normalizations():
@@ -219,6 +260,38 @@ def test_contract_rejects_bad_r():
         contract(a, a, 3)
     with pytest.raises(ValueError):
         contract(a, a, -1)
+
+
+@hst.composite
+def _kernels(draw, dim, order, max_nnz=6):
+    """Kernels of the given shape with up to max_nnz drawn orbits."""
+    index = hst.lists(hst.integers(0, dim - 1), min_size=order,
+                      max_size=order).map(lambda i: tuple(sorted(i)))
+    values = hst.floats(-2.0, 2.0, allow_nan=False)
+    return SymmetricKernel(dim, order, draw(hst.dictionaries(index, values,
+                                                             max_size=max_nnz)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), d=hst.integers(1, 3), n=hst.integers(0, 3),
+       m=hst.integers(0, 3))
+def test_contract_symmetrized_property(data, d, n, m):
+    f = data.draw(_kernels(d, n))
+    g = data.draw(_kernels(d, m))
+    r = data.draw(hst.integers(0, min(n, m)))
+    got = contract(f, g, r).symmetrized()
+    want = BlockKernel(d, n - r, m - r, naive_contract(f, g, r)).symmetrized()
+    assert got.entries == want.entries
+    assert np.allclose(dense(got), dense_sym(dense_contract(dense(f), dense(g), r)),
+                       rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), d=hst.integers(1, 3), n=hst.integers(1, 4))
+def test_moment4_property(data, d, n):
+    f = data.draw(_kernels(d, n))
+    assert math.isclose(moment4(f), wick_moment([f], [4]),
+                        rel_tol=1e-10, abs_tol=1e-12)
 
 
 # --- evaluation and the product formula -------------------------------------------

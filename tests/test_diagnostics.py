@@ -16,7 +16,9 @@ from chaoslimits import (
     classifier_c0,
     classifier_delta,
     contract,
+    derivative_slices,
     ec_roots,
+    eval_multiple_integral,
     gamma_fixed_family,
     gamma_kernel_gap,
     gamma_target,
@@ -423,6 +425,41 @@ def test_run_family_diagnostics_mc_twins(monkeypatch):
         want = mc_twins(fam(m), t.coeff, 20000, 31 + 1000003 * j)
         assert (rec["stein_residual_l2_mc"], rec["prop24_gap_mc"],
                 rec["stein_discrepancy_l1"]) == want
+
+
+def test_pathwise_parts_reads_one_hermite_table(monkeypatch):
+    import chaoslimits.chaos
+    import chaoslimits.diagnostics as diag
+
+    orders = []
+    table = chaoslimits.chaos._hermite_monic_table
+
+    def counting(max_order, x):
+        orders.append(max_order)
+        return table(max_order, x)
+
+    monkeypatch.setattr(chaoslimits.chaos, "_hermite_monic_table", counting)
+    monkeypatch.setattr(diag, "_hermite_monic_table", counting)
+    f = gaussian_clt_family()(16)
+    got = mc_twins(f, beta_target(2.0, 3.0).coeff, 2000, 7)
+    assert orders == [2]  # F and all 16 derivative slices share one table
+    # the same triple, bit for bit, as when F and each slice built their own
+    assert got == ((1.576496887291598, 0.0486994711760848),
+                   (0.9989666100637394, 0.01531674712984922),
+                   (1.143351720765224, 0.011605568041340364))
+    # and the shared table gives each part exactly as the public evaluation does
+    rng = np.random.default_rng(12)
+    g = random_kernel(rng, 4, 3, 10)
+    x = rng.standard_normal((50, 4))
+    orders.clear()
+    half_a, k = diag._pathwise_parts(g, (0.5, -1.0, 2.0), x)
+    assert orders == [3]
+    v = eval_multiple_integral(g, x)
+    assert np.array_equal(half_a, 0.5 * (0.5 * v * v - 1.0 * v + 2.0))
+    df2 = np.zeros(len(x))
+    for s in derivative_slices(g):
+        df2 += eval_multiple_integral(s, x) ** 2
+    assert np.array_equal(k, df2 * 9 / 3)
 
 
 def test_run_family_diagnostics_clt_large_m():

@@ -36,8 +36,8 @@ CASES = {
         ["diagnose", "--family", "gaussian_clt", "--m", "1,2,4,8,64",
          "--name", "normal", "--gamma", "1"], 0),
     "diagnose_gamma_fixed": (
-        ["diagnose", "--family", "gamma_fixed", "--a", "4", "--m", "1,2",
-         "--name", "gamma", "--lambda", "0.5"], 0),
+        ["diagnose", "--family", "gamma_fixed", "--k", "4", "--m", "1,2",
+         "--name", "gamma", "--a", "4", "--lambda", "0.5"], 0),
     "diagnose_clt_beta": (
         ["diagnose", "--family", "gaussian_clt", "--m", "2,4,8",
          "--name", "beta", "--a", "2", "--b", "3"], 0),

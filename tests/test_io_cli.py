@@ -290,23 +290,39 @@ def test_cli_error_exit_codes(capsys, tmp_path):
 
 
 def test_cli_diagnose_rejects_non_integer_family_size(capsys):
-    for a in ("2.5", "0"):
+    for k in ("2.5", "0"):
         code, out, err = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",
-                                          "--a", a, "--m", "1", "--name",
+                                          "--k", k, "--m", "1", "--name",
                                           "normal", "--gamma", "1"])
         assert code == 2 and "integer k >= 1" in err and not out
 
 
 def test_cli_diagnose_gamma_family_fixed_point(capsys, tmp_path):
-    # --a sizes the family; the matched Gamma(k/2, 1/2) target comes from a file
+    # --k sizes the family; here the matched Gamma(k/2, 1/2) comes from a file
     tf = tmp_path / "gamma.json"
     tf.write_text(json.dumps(
         {"name": "gamma", "params": {"a": 0.5, "lambda": 0.5}}))
     code, out, _ = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",
-                                    "--a", "1", "--m", "1,2",
+                                    "--k", "1", "--m", "1,2",
                                     "--target", str(tf)])
     assert code == 0
     doc = json.loads(out)
     assert doc["members"][0]["stein_residual_l2_chaos"] == 0.0
     assert doc["members"][0]["gamma_kernel_gap"] == 0.0
     assert doc["classifier"]["kind"] == "GammaOnly"
+
+
+def test_cli_diagnose_pairs_gamma_family_with_its_named_limit(capsys):
+    # --k sizes the family and --a shapes the target, so Gamma(k/2, 1/2) is
+    # reachable by flags alone
+    code, out, _ = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",
+                                    "--k", "2", "--m", "1,2", "--name", "gamma",
+                                    "--a", "1", "--lambda", "0.5"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [rec["stein_residual_l2_chaos"] for rec in doc["members"]] == [0.0, 0.0]
+    # --a no longer sizes the family: k stays at its default 1
+    code, out, _ = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",
+                                    "--m", "1", "--name", "gamma", "--a", "3",
+                                    "--lambda", "0.5"])
+    assert code == 0 and json.loads(out)["members"][0]["dim"] == 1
