@@ -18,12 +18,19 @@ pair (a, b) is A h = (1/2) a h' + b h; ``stein_solution`` inverts it and
 ``stein_identity_residual`` integrates it against the target.
 
 Densities are closed forms: every named target evaluates its log-density
-with ``math`` on a Python float (and with numpy on an array), so an adaptive
-``quad`` pays about a microsecond per node.  The scipy distributions serve
-the cdf, the ppf and exact sampling, and are the tests' reference density.
-A grid target evaluates its log-PCHIP piece by piece on a float, and every
+with ``math`` on a Python float (and with numpy on an array), and a
+polynomial a(x) and the drift compute in floats on a float, so an adaptive
+``quad`` node pays for float arithmetic rather than numpy wrapping.  The
+scipy distributions, shared and never frozen per target, serve the cdf, the
+ppf and exact sampling, and are the tests' reference density.  A grid
+target evaluates its log-PCHIP piece by piece on a float, and every
 integral against it (mass, mean, cdf, a(x), Stein solutions) reads one
 Gauss-Legendre table of its pieces instead of calling ``quad``.
+
+A nearer-tail quotient (a numeric a(x), a quadrature Stein solution) takes
+one tail call per side of its pivot on an array of points: one table call
+on a grid target, and otherwise quads over the gaps between the sorted
+points, each side integrated from its own end.
 
 A polynomial f of degree k < ``moment_bound`` on a polynomial coefficient,
 assumed Pearson ((a, b) is the density's own diffusion pair, as for every
@@ -69,6 +76,7 @@ QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 _INSET_FRAC = 1e-8
 _FD_STEP = 1e-5  # finite-difference step, as a fraction of the length scale
+_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # five-point offsets, in steps
 
 
 def _quad(fn, lo, hi):
@@ -114,6 +122,9 @@ class DiffusionCoefficient:
         return (self.alpha, self.beta, self.gamma)
 
     def __call__(self, x):
+        if type(x) is float and self.kind == "polynomial":
+            # the array path's operations in its order, so the two agree bitwise
+            return self.alpha * x * x + self.beta * x + self.gamma
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
             out = self.alpha * x * x + self.beta * x + self.gamma
@@ -157,6 +168,8 @@ class TargetMeasure:
         return self._tails(fn)(self.support[1], True)
 
     def drift(self, x):
+        if type(x) is float:
+            return self.mean - x
         return self.mean - np.asarray(x, dtype=float)
 
     def has_moment(self, k):
@@ -182,13 +195,19 @@ class TargetMeasure:
         return np.linspace(lo + eps, hi - eps, n)
 
     def length_scale(self):
+        """u - l on a bounded support, else sqrt(E X^2): read off the moment
+        ladder for a centered polynomial (Pearson) coefficient, otherwise
+        by quadrature."""
         l, u = self.support
         if math.isfinite(l) and math.isfinite(u):
             return u - l
-        try:
-            m2 = self.moment(2)
-        except Exception:
-            m2 = 1.0
+        if self.coeff.kind == "polynomial" and self.mean == 0.0 and self.has_moment(2):
+            m2 = moment_table(*self.coeff.as_tuple(), 2)[2]
+        else:
+            try:
+                m2 = self.moment(2)
+            except Exception:
+                m2 = 1.0
         return math.sqrt(max(m2, 1e-12))
 
     def moment(self, k):
@@ -254,18 +273,26 @@ def _closed_form_density(logpdf, support, edges):
     return density
 
 
-def _target_from_frozen(name, dist, logpdf, coeff, params, moment_bound=math.inf,
-                        mean_shift=0.0):
-    """Named target: closed-form density, scipy's cdf, ppf and endpoint values."""
-    lo, hi = (float(e) for e in dist.support())
-    edges = tuple(float(dist.pdf(e)) if math.isfinite(e) else 0.0 for e in (lo, hi))
+def _target_from_scipy(name, law, logpdf, coeff, params, moment_bound=math.inf,
+                       mean_shift=0.0):
+    """Named target: closed-form density, scipy's cdf, ppf and endpoint values.
+
+    ``law`` is (dist, args, kwds): a shared scipy distribution and the shape,
+    loc and scale arguments each call passes, as a frozen law would pass
+    them.  Freezing builds a new distribution object, which cost most of a
+    target's build.
+    """
+    dist, args, kwds = law
+    lo, hi = (float(e) for e in dist.support(*args, **kwds))
+    edges = tuple(float(dist.pdf(e, *args, **kwds)) if math.isfinite(e) else 0.0
+                  for e in (lo, hi))
     return TargetMeasure(
         name=name,
         support=(lo, hi),
         density=_closed_form_density(logpdf, (lo, hi), edges),
         coeff=coeff,
-        cdf=dist.cdf,
-        ppf=dist.ppf,
+        cdf=lambda x: dist.cdf(x, *args, **kwds),
+        ppf=lambda q: dist.ppf(q, *args, **kwds),
         params=dict(params),
         moment_bound=moment_bound,
         mean_shift=mean_shift,
@@ -279,8 +306,8 @@ def normal_target(gamma=1.0):
         raise ValueError("normal target needs gamma > 0")
     s = math.sqrt(g)
     c = -math.log(s) - 0.5 * math.log(2.0 * math.pi)
-    return _target_from_frozen(
-        "normal", stats.norm(loc=0.0, scale=s),
+    return _target_from_scipy(
+        "normal", (stats.norm, (), {"loc": 0.0, "scale": s}),
         lambda x, ns: c - 0.5 * (x / s) ** 2,
         DiffusionCoefficient.polynomial(0.0, 0.0, 2.0 * g),
         {"gamma": g},
@@ -295,8 +322,8 @@ def student_target(nu):
     al = 2.0 / (nu - 1.0)
     c = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
          - 0.5 * (math.log(nu) + math.log(math.pi)))
-    return _target_from_frozen(
-        "student", stats.t(df=nu),
+    return _target_from_scipy(
+        "student", (stats.t, (), {"df": nu}),
         lambda x, ns: c - 0.5 * (nu + 1.0) * ns.log1p(x * x / nu),
         DiffusionCoefficient.polynomial(al, 0.0, 2.0 * nu / (nu - 1.0)),
         {"nu": nu}, moment_bound=nu,
@@ -312,8 +339,8 @@ def pareto_target(nu):
     c = 2.0 / (nu - 1.0)
     loc = -1.0 - m
     log_nu = math.log(nu)
-    return _target_from_frozen(
-        "pareto", stats.pareto(b=nu, loc=loc),
+    return _target_from_scipy(
+        "pareto", (stats.pareto, (), {"b": nu, "loc": loc}),
         lambda x, ns: log_nu - (nu + 1.0) * ns.log(x - loc),
         DiffusionCoefficient.polynomial(c, c * (1.0 + 2.0 * m), c * m * (1.0 + m)),
         {"nu": nu}, moment_bound=nu, mean_shift=m,
@@ -333,8 +360,8 @@ def gamma_target(a, lam):
         y = (x + m) / scale
         return (a - 1.0) * ns.log(y) - y + c
 
-    return _target_from_frozen(
-        "gamma", stats.gamma(a, scale=scale, loc=-m), logpdf,
+    return _target_from_scipy(
+        "gamma", (stats.gamma, (a,), {"scale": scale, "loc": -m}), logpdf,
         DiffusionCoefficient.polynomial(0.0, 2.0 / lam, 2.0 * a / lam**2),
         {"a": a, "lam": lam}, mean_shift=m,
     )
@@ -354,8 +381,9 @@ def inverse_gamma_target(delta, lam):
         y = (x + m) / delta
         return -(lam + 1.0) * ns.log(y) - 1.0 / y + const
 
-    return _target_from_frozen(
-        "inverse_gamma", stats.invgamma(lam, scale=delta, loc=-m), logpdf,
+    return _target_from_scipy(
+        "inverse_gamma", (stats.invgamma, (lam,), {"scale": delta, "loc": -m}),
+        logpdf,
         DiffusionCoefficient.polynomial(c, 2.0 * c * m, c * m * m),
         {"delta": delta, "lam": lam}, moment_bound=lam, mean_shift=m,
     )
@@ -376,8 +404,8 @@ def fdist_target(a, b):
         y = x + m
         return (0.5 * a - 1.0) * ns.log(y) - 0.5 * (a + b) * ns.log(b + a * y) + c
 
-    return _target_from_frozen(
-        "f", stats.f(a, b, loc=-m), logpdf,
+    return _target_from_scipy(
+        "f", (stats.f, (a, b), {"loc": -m}), logpdf,
         DiffusionCoefficient.polynomial(
             k * a, k * (b + 2.0 * a * m), k * m * (b + a * m)
         ),
@@ -387,8 +415,9 @@ def fdist_target(a, b):
 
 def uniform_centered_target():
     """Uniform on (-1/2, 1/2): a(x) = 1/4 - x^2."""
-    return _target_from_frozen(
-        "uniform", stats.uniform(loc=-0.5, scale=1.0), lambda x, ns: 0.0,
+    return _target_from_scipy(
+        "uniform", (stats.uniform, (), {"loc": -0.5, "scale": 1.0}),
+        lambda x, ns: 0.0,
         DiffusionCoefficient.polynomial(-1.0, 0.0, 0.25), {},
         mean_shift=0.5,
     )
@@ -409,8 +438,8 @@ def beta_target(a, b):
         y = x + m
         return (a - 1.0) * ns.log(y) + (b - 1.0) * ns.log1p(-y) - lbeta
 
-    return _target_from_frozen(
-        "beta", stats.beta(a, b, loc=-m), logpdf,
+    return _target_from_scipy(
+        "beta", (stats.beta, (a, b), {"loc": -m}), logpdf,
         DiffusionCoefficient.polynomial(-c, c * (b - a) / s, c * a * b / s**2),
         {"a": a, "b": b}, mean_shift=m,
     )
@@ -605,13 +634,42 @@ def _inset_bounds(support):
 
 
 def _quad_cumulative(density, support):
-    """fn -> ((x, left) -> int_l^x fn p if left, else -int_x^u fn p), each
-    tail one adaptive quad of fn(y) * density(y)."""
+    """fn -> ((x, left) -> int_l^x fn p if left, else -int_x^u fn p), by
+    adaptive quad of fn(y) * density(y).
+
+    A scalar x is one quad from its end.  An array is sorted and integrated
+    gap by gap from that end, so a cluster of points pays for one long
+    integral plus short gaps; a repeated point reuses its value.  A gap
+    starts afresh from the support's end when the previous point lies
+    closer to that end than the gap is long: a density singular at the end
+    is then nearly singular just past the gap, where quad's extrapolation
+    misjudges it (3e-5 off on Beta(1/2, 1/2) beside the inset end).
+    """
     l, u = support
 
     def cumulative(fn):
         weight = lambda y: fn(y) * density(y)
-        return lambda x, left: _quad(weight, l, x) if left else -_quad(weight, x, u)
+
+        def tail(x, left):
+            if np.ndim(x) == 0:
+                return _quad(weight, l, x) if left else -_quad(weight, x, u)
+            x = np.asarray(x, dtype=float)
+            flat = x.ravel()
+            order = np.argsort(flat, kind="stable")
+            out = np.empty_like(flat)
+            edge = l if left else u
+            total, end = 0.0, edge
+            for i in (order if left else order[::-1]).tolist():
+                y = float(flat[i])
+                if abs(end - edge) < abs(y - end):
+                    total, end = 0.0, edge
+                if y != end:
+                    total += _quad(weight, end, y) if left else _quad(weight, y, end)
+                    end = y
+                out[i] = total
+            return (out if left else -out).reshape(x.shape)
+
+        return tail
 
     return cumulative
 
@@ -623,7 +681,10 @@ def _tail_quotient(fn, cumulative, den, support, left):
     density (``_quad_cumulative`` or a grid's table).  fn p integrates to 0
     over the support, so the partial integral is taken from the nearer tail
     (``left(x)`` picks the lower one), which keeps the quotient conditioned
-    far into either tail.  Accepts scalars or arrays.
+    far into either tail.  A scalar x takes one tail call; an array takes
+    one ``den`` call and one tail call per side.  ``quotient.sided(x,
+    centres)`` takes each point's side from its centre instead (``centres``
+    broadcasts against x), so a difference stencil stays on one tail.
     """
     l, u = float(support[0]), float(support[1])
     lo, hi = _inset_bounds((l, u))
@@ -634,15 +695,31 @@ def _tail_quotient(fn, cumulative, den, support, left):
         num = tail(x, left(x))
         d = den(x)
         if d <= 0.0 or not np.isfinite(d):
-            raise ValueError(f"denominator {d!r} is not positive at x={x!r}")
+            raise ValueError(f"denominator {float(d)!r} is not positive at x={x!r}")
         return 2.0 * num / d
 
-    def quotient(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return one(arr)
-        return np.array([one(v) for v in arr.ravel()]).reshape(arr.shape)
+    def sided(x, centres):
+        x = np.clip(np.asarray(x, dtype=float), lo, hi)
+        flat = x.ravel()
+        d = np.broadcast_to(np.asarray(den(flat), dtype=float), flat.shape)
+        bad = (d <= 0.0) | ~np.isfinite(d)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"denominator {float(d[i])!r} is not positive"
+                             f" at x={float(flat[i])!r}")
+        sides = np.broadcast_to(
+            left(np.clip(np.asarray(centres, dtype=float), lo, hi)), x.shape).ravel()
+        num = np.empty_like(flat)
+        for side in (True, False):
+            pick = sides == side
+            if pick.any():
+                num[pick] = tail(flat[pick], side)
+        return (2.0 * num / d).reshape(x.shape)
 
+    def quotient(x):
+        return one(x) if np.ndim(x) == 0 else sided(x, x)
+
+    quotient.sided = sided
     return quotient
 
 
@@ -650,7 +727,10 @@ def coeff_from_density(density, support, mean=0.0, cdf=None):
     """Numeric diffusion coefficient from (*): a(x) = 2 int_l^x b p / p(x).
 
     The drift is b(x) = mean - x.  The tail is chosen by ``cdf(x) <= 0.5``,
-    or, without a cdf, by ``x <= mean``.  Every tail is one adaptive quad.
+    or, without a cdf, by ``x <= mean``.  A scalar x is one adaptive quad;
+    an array of points is integrated gap by gap from each side's end, and
+    ``density`` and ``cdf`` are then called on arrays, so they must accept
+    them.
     """
     l, u = float(support[0]), float(support[1])
     if cdf is None:
@@ -738,19 +818,24 @@ def stein_solution_residual(target, f, xs):
 
     For a closed-form (Polynomial) g, g' is exact and no integral is taken.
     Otherwise g' is a five-point central difference with step _FD_STEP
-    times the target's length scale.  Points are clamped to the inset
-    support, less the stencil's reach.  f is evaluated on the array of
-    points, so it must accept arrays.
+    times the target's length scale, and g is evaluated once on the whole
+    stencil, each centre's five points from the centre's own tail: a
+    stencil straddling the pivot would difference two tails' quadrature
+    errors.  Points are clamped to the inset support, less the stencil's
+    reach.  f is evaluated on the array of points, so it must accept arrays.
     """
     g = stein_solution(target, f)
-    closed = isinstance(g, np.polynomial.Polynomial)
-    step = 0.0 if closed else _FD_STEP * target.length_scale()
-    op = _stein_operator(target, g, g.deriv() if closed
-                         else lambda x: _derivative5(g, x, step))
     lo, hi = _inset_bounds(target.support)  # an infinite end stays infinite
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    xs = np.clip(xs, lo + 2 * step, hi - 2 * step)
-    return op(xs) - (f(xs) - g.mean_value)
+    if isinstance(g, np.polynomial.Polynomial):
+        xs = np.clip(xs, lo, hi)
+        gx, dg = g(xs), g.deriv()(xs)
+    else:
+        step = _FD_STEP * target.length_scale()
+        xs = np.clip(xs, lo + 2 * step, hi - 2 * step)
+        v = g.sided(xs + step * _STENCIL[:, None], xs)  # rows x - 2h, ..., x + 2h
+        gx, dg = v[2], (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * step)
+    return 0.5 * target.coeff(xs) * dg + target.drift(xs) * gx - (f(xs) - g.mean_value)
 
 
 def stein_identity_residual(target, h, dh=None):

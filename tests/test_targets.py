@@ -137,6 +137,29 @@ def test_density_vanishes_outside_support_and_matches_at_endpoints(target, law):
                                 rel_tol=1e-13)
 
 
+@pytest.mark.parametrize("target, law", DENSITY_CASES, ids=DENSITY_IDS)
+def test_scipy_calls_equal_the_frozen_law_bit_for_bit(target, law):
+    # the named targets call the shared scipy distribution with the frozen
+    # law's arguments instead of freezing one, which must change no bit
+    qs = np.linspace(0.0005, 0.9995, 401)
+    xs = law.ppf(qs)
+    assert np.array_equal(target.ppf(qs), law.ppf(qs))
+    assert np.array_equal(target.cdf(xs), law.cdf(xs))
+    assert target.support == tuple(float(e) for e in law.support())
+    for edge in (e for e in target.support if math.isfinite(e)):
+        assert target.density(edge) == float(law.pdf(edge))
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS,
+                         ids=lambda t: f"{t.name}{t.params}")
+def test_polynomial_coeff_and_drift_on_a_float_equal_the_array_path(target):
+    xs = target.ppf(np.linspace(0.001, 0.999, 101))
+    a, b = target.coeff(xs), target.drift(xs)
+    for i, x in enumerate(xs.tolist()):
+        assert type(target.coeff(x)) is float and type(target.drift(x)) is float
+        assert target.coeff(x) == a[i] and target.drift(x) == b[i]
+
+
 def test_coefficient_examples():
     assert normal_target(1.0).coeff.as_tuple() == (0.0, 0.0, 2.0)
     al, be, ga = student_target(5.0).coeff.as_tuple()
@@ -414,6 +437,115 @@ def test_stein_solution_mean_value_recorded():
     assert math.isclose(g.mean_value, t.moment(2), rel_tol=1e-8)
 
 
+# the eight named targets at the parameters of the CLI goldens
+GOLDEN_TARGETS = [
+    normal_target(1.0), student_target(7.0), pareto_target(5.0),
+    gamma_target(2.0, 1.0), inverse_gamma_target(3.0, 4.0),
+    fdist_target(6.0, 10.0), uniform_centered_target(), beta_target(2.0, 3.0),
+]
+
+
+def _counting_quad(monkeypatch):
+    import chaoslimits.targets
+
+    calls = []
+    original = chaoslimits.targets._quad
+
+    def counting(fn, lo, hi):
+        calls.append((lo, hi))
+        return original(fn, lo, hi)
+
+    monkeypatch.setattr(chaoslimits.targets, "_quad", counting)
+    return calls
+
+
+@pytest.mark.parametrize("target", GOLDEN_TARGETS, ids=lambda t: t.name)
+def test_length_scale_reads_the_moment_ladder(target, monkeypatch):
+    l, u = target.support
+    if math.isfinite(l) and math.isfinite(u):
+        want = u - l
+    else:
+        want = math.sqrt(target.moment(2))
+    calls = _counting_quad(monkeypatch)
+    assert math.isclose(target.length_scale(), want, rel_tol=1e-8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("target", [fdist_target(6.0, 10.0), inverse_gamma_target(3.0, 4.0)],
+                         ids=lambda t: t.name)
+def test_stein_residual_has_no_spike_at_the_median(target):
+    # the stencil around the median straddles the tail switch; differencing
+    # a left-tail value against a right-tail one gave 1.2e-4 on F(6, 10)
+    med = float(target.ppf(0.5))
+    for x in (med, math.nextafter(med, -math.inf), math.nextafter(med, math.inf)):
+        res = stein_solution_residual(target, np.sin, [x])
+        assert abs(float(res[0])) <= 1e-7
+
+
+@hst.composite
+def _points_around(draw, support, reach):
+    """Unsorted points on both sides of the support's middle, some repeated,
+    some past the ends (clamped to the inset support)."""
+    lo, hi = support
+    pts = draw(hst.lists(hst.floats(lo - reach, hi + reach), min_size=2, max_size=24))
+    repeats = draw(hst.lists(hst.sampled_from(pts), max_size=4))
+    ends = draw(hst.lists(hst.sampled_from([lo - 1.0, lo, hi, hi + 1.0]), max_size=3))
+    return np.array(draw(hst.permutations(pts + repeats + ends)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), kind=hst.sampled_from(["gauss", "gamma"]),
+       knots=hst.integers(33, 200), scale=hst.floats(0.25, 4.0),
+       shift=hst.floats(-50.0, 50.0), shape=hst.floats(1.5, 6.0))
+def test_grid_coeff_array_path_equals_per_point_path(data, kind, knots, scale, shift,
+                                                     shape):
+    t = target_from_density_grid(*_shaped_grid(kind, knots, scale, shift, shape))
+    xs = data.draw(_points_around(t.support, 0.1 * (t.support[1] - t.support[0])))
+    got = t.coeff(xs)
+    want = np.array([t.coeff(float(x)) for x in xs])
+    assert got.shape == xs.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    block = t.coeff(xs[: len(xs) // 2 * 2].reshape(2, -1))
+    assert np.array_equal(block.ravel(), got[: len(xs) // 2 * 2])
+
+
+_QUAD_ROUTE_TARGETS = [normal_target(1.0), student_target(7.0), gamma_target(2.0, 1.0),
+                       beta_target(2.0, 3.0), beta_target(0.5, 0.5)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), which=hst.integers(0, len(_QUAD_ROUTE_TARGETS) - 1))
+def test_quad_coeff_array_path_equals_per_point_path(data, which):
+    from chaoslimits.targets import QUAD_ABS_TOL, QUAD_REL_TOL
+
+    t = _QUAD_ROUTE_TARGETS[which]
+    a = coeff_from_density(t.density, t.support, cdf=t.cdf)
+    span = (float(t.ppf(0.0005)), float(t.ppf(0.9995)))
+    xs = data.draw(_points_around(span, 0.2))
+    got = a(xs)
+    want = np.array([a(float(x)) for x in xs])
+    assert np.all(np.abs(got - want) <= QUAD_ABS_TOL + QUAD_REL_TOL * np.abs(want))
+
+
+def test_array_path_names_the_first_non_positive_denominator():
+    # the N(0, 1) density with the uniform coefficient 1/4 - x^2: a(x) p(x)
+    # is not positive from |x| = 1/2 on
+    norm = scipy.stats.norm()
+    t = TargetMeasure(
+        name="mismatch", support=(-math.inf, math.inf), density=norm.pdf,
+        coeff=DiffusionCoefficient.polynomial(-1.0, 0.0, 0.25),
+        cdf=norm.cdf, ppf=norm.ppf,
+    )
+    g = stein_solution(t, lambda y: y)
+    xs = [0.1, -0.3, 0.75, -0.9, 0.2]
+    with pytest.raises(ValueError) as per_point:
+        [g(x) for x in xs]
+    with pytest.raises(ValueError) as array:
+        g(np.array(xs))
+    assert str(array.value) == str(per_point.value)
+    assert str(array.value).endswith("is not positive at x=0.75")
+
+
 # --- closed-form Stein solutions for polynomial f ---------------------------------------
 
 # Parameter ranges inside each named target's valid range.  The shapes keep
@@ -458,16 +590,7 @@ def test_pearson_solution_matches_quad_route(case):
 
 
 def test_pearson_solution_makes_no_quad_call(monkeypatch):
-    import chaoslimits.targets
-
-    calls = []
-    original = chaoslimits.targets._quad
-
-    def counting(fn, lo, hi):
-        calls.append((lo, hi))
-        return original(fn, lo, hi)
-
-    monkeypatch.setattr(chaoslimits.targets, "_quad", counting)
+    calls = _counting_quad(monkeypatch)
     for name, params in (("normal", {"gamma": 1.0}), ("student", {"nu": 7.0}),
                          ("inverse_gamma", {"delta": 3.0, "lam": 4.0}),
                          ("beta", {"a": 2.0, "b": 3.0})):
