@@ -57,20 +57,16 @@ __all__ = [
 
 
 def hermite(n, x):
-    """Hermite polynomial H_n(x) with leading coefficient 1/n!.
+    """Hermite polynomial H_n(x) = He_n(x) / n!, leading coefficient 1/n!.
 
-    Satisfies H_0 = 1, H_1 = x and (n+1) H_{n+1}(x) = x H_n(x) - H_{n-1}(x).
-    Accepts scalars or arrays.
+    Read off the monic table ``_hermite_monic_table`` (He_{k+1} = x He_k -
+    k He_{k-1}) and divided by n!, so H_0 = 1, H_1 = x and (n+1) H_{n+1}(x)
+    = x H_n(x) - H_{n-1}(x) hold to rounding.  n! must be a float (n <= 170),
+    and H_n is inf where He_n(x) overflows.  Accepts scalars or arrays.
     """
-    if n < 0:
-        raise ValueError("hermite order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for k in range(1, n):
-        h, h_prev = (x * h - h_prev) / (k + 1), h
+    if not 0 <= n <= 170:
+        raise ValueError("hermite order must be in 0..170 (n! must be a float)")
+    h = _hermite_monic_table(n, x)[n] / math.factorial(n)
     return h if h.ndim else float(h)
 
 
@@ -279,14 +275,10 @@ class BlockKernel:
         return math.sqrt(self.norm_sq())
 
     def symmetrized(self):
-        mult = {}
         out = {}
         for (a, b), v in self.blocks.items():
             u = tuple(sorted(a + b))
-            for idx in (a, b, u):
-                if idx not in mult:
-                    mult[idx] = multiplicity(idx)
-            w = v * mult[a] * mult[b] / mult[u]
+            w = v * multiplicity(a) * multiplicity(b) / multiplicity(u)
             out[u] = out.get(u, 0.0) + w
         return SymmetricKernel._trusted(self.dim, self.order, out)
 
@@ -399,10 +391,6 @@ class ChaosVector:
     def __mul__(self, c):
         return self.__rmul__(c)
 
-    def second_moment(self):
-        """E[F^2] by the isometry."""
-        return expect_product(self, self)
-
     def variance(self):
         return sum(
             k.scaled_norm_sq() for n, k in self.components.items() if n >= 1
@@ -415,22 +403,15 @@ def eval_multiple_integral(f, x):
     x has shape (dim,) for one point or (N, dim) for a batch; returns a float
     or an (N,) array accordingly.
     """
-    if isinstance(f, ChaosVector):
-        comps = sorted(f.components.items())
-        dim = f.dim
-        max_order = max((n for n, _ in comps), default=0)
-    else:
-        comps = [(f.order, f)]
-        dim = f.dim
-        max_order = f.order
+    f = _vector(f)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    if pts.shape[1] != dim:
-        raise ValueError(f"points have dim {pts.shape[1]}, kernel has dim {dim}")
-    he = _hermite_monic_table(max_order, pts)  # (order+1, N, dim)
+    if pts.shape[1] != f.dim:
+        raise ValueError(f"points have dim {pts.shape[1]}, kernel has dim {f.dim}")
+    he = _hermite_monic_table(max(f.components, default=0), pts)  # (order+1, N, dim)
     total = np.zeros(pts.shape[0])
-    for _, kern in comps:
+    for _, kern in sorted(f.components.items()):
         _add_integral(total, kern, he)
     return float(total[0]) if single else total
 
@@ -446,6 +427,11 @@ def _add_integral(total, kern, he):
     return total
 
 
+def _vector(F):
+    """F as a ChaosVector: a SymmetricKernel becomes its one level."""
+    return ChaosVector.from_kernel(F) if isinstance(F, SymmetricKernel) else F
+
+
 def _contracted(f, g, r):
     """f ~x_r g, read from f's memo when g is f itself."""
     return f.self_contraction(r) if f is g else contract(f, g, r).symmetrized()
@@ -456,10 +442,7 @@ def chaos_product(F, G):
 
     I_n(f) I_m(g) = sum_{r=0}^{n^m} r! C(n,r) C(m,r) I_{n+m-2r}(f (x)_r g).
     """
-    if isinstance(F, SymmetricKernel):
-        F = ChaosVector.from_kernel(F)
-    if isinstance(G, SymmetricKernel):
-        G = ChaosVector.from_kernel(G)
+    F, G = _vector(F), _vector(G)
     if F.dim != G.dim:
         raise ValueError("dims differ")
     out = {}
@@ -497,10 +480,7 @@ def malliavin_inner(F, G):
 
         n m sum_{r=0}^{min(n,m)-1} r! C(n-1,r) C(m-1,r) I_{n+m-2-2r}(f (x)_{r+1} g).
     """
-    if isinstance(F, SymmetricKernel):
-        F = ChaosVector.from_kernel(F)
-    if isinstance(G, SymmetricKernel):
-        G = ChaosVector.from_kernel(G)
+    F, G = _vector(F), _vector(G)
     if F.dim != G.dim:
         raise ValueError("dims differ")
     out = {}
@@ -523,8 +503,7 @@ def malliavin_inner(F, G):
 
 def ou_inverse(F):
     """(-L)^{-1} F for centered F: divide level k by k.  Errors on level 0."""
-    if isinstance(F, SymmetricKernel):
-        F = ChaosVector.from_kernel(F)
+    F = _vector(F)
     if F.expectation() != 0.0:
         raise ValueError("ou_inverse requires a centered input (level 0 must vanish)")
     return ChaosVector(F.dim, {n: (1.0 / n) * k for n, k in F.components.items()})
@@ -546,9 +525,7 @@ def wick_moment(factors, powers=None):
     for f, p in zip(factors, powers):
         if p < 0:
             raise ValueError("powers must be nonnegative")
-        if isinstance(f, SymmetricKernel):
-            f = ChaosVector.from_kernel(f)
-        flat.extend([f] * p)
+        flat.extend([_vector(f)] * p)
     if not flat:
         return 1.0
     if len(flat) > 12:

@@ -158,6 +158,8 @@ def _pair_doc(pair):
 
 
 def _cmd_diagnose(args):
+    if args.mc < 0:
+        raise ValueError(f"--mc must be >= 0, got {args.mc}")
     if args.mc and args.seed is None:
         raise ValueError("--seed is required when --mc > 0")
     if args.family not in BUILTIN_FAMILIES:
@@ -174,9 +176,6 @@ def _cmd_diagnose(args):
     members = []
     for rec in report.members:
         row = dict(rec)
-        row["contraction_norms"] = {
-            str(p): v for p, v in rec["contraction_norms"].items()
-        }
         for key in ("stein_residual_l2_mc", "prop24_gap_mc", "stein_discrepancy_l1"):
             if key in row:
                 row[key] = _pair_doc(row[key])
@@ -215,7 +214,7 @@ def _cmd_simulate(args):
     doc = {
         "schema_version": cio.SCHEMA_VERSION,
         "target": cio.target_to_dict(target),
-        "config": dict(emp.meta),
+        "config": dataclasses.asdict(cfg),
         "results": {
             "count": emp.count,
             "mean": emp.mean(),
@@ -231,8 +230,6 @@ def _cmd_simulate(args):
             "dictionary_pass": dict_ok,
         },
     }
-    doc["config"].pop("target", None)
-    doc["config"].pop("params", None)
     text = cio.dumps_struct(doc)
     print(text)
     if args.out:
@@ -264,15 +261,16 @@ def _cmd_stein_check(args):
 
 
 def _cmd_oracle_check(args):
+    if args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     rng = np.random.default_rng(args.seed)
-    trials = args.m if args.m else 60
     counts = {}
 
     def record(name, ok):
         p, f = counts.get(name, (0, 0))
         counts[name] = (p + 1, f) if ok else (p, f + 1)
 
-    for _ in range(trials):
+    for _ in range(args.m):
         n = int(rng.integers(1, 5))
         d = int(rng.integers(1, 7))
         f = random_kernel(rng, d, n, nnz=int(rng.integers(1, 5)))
@@ -289,7 +287,7 @@ def _cmd_oracle_check(args):
         record("residual_decomposition_vs_direct",
                abs(a - b) <= 1e-10 * max(1.0, abs(a)))
 
-    for _ in range(max(trials // 5, 8)):
+    for _ in range(max(args.m // 5, 8)):
         d = int(rng.integers(1, 5))
         fa = random_kernel(rng, d, int(rng.integers(1, 4)), 3)
         fb = random_kernel(rng, d, int(rng.integers(1, 4)), 3)
@@ -307,7 +305,7 @@ def _cmd_oracle_check(args):
     failures = sum(f for _, f in counts.values())
     _emit({
         "schema_version": cio.SCHEMA_VERSION,
-        "trials": trials,
+        "trials": args.m,
         "checks": {name: {"pass": p, "fail": f}
                    for name, (p, f) in sorted(counts.items())},
         "failures": failures,

@@ -15,7 +15,7 @@ target law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.stats
@@ -61,6 +61,7 @@ class SimConfig:
             raise ValueError("thinning must be >= 1")
         if self.seed is None:
             raise ValueError("seed is required (no silent nondeterminism)")
+        object.__setattr__(self, "seed", int(self.seed))
         if not (self.boundary_epsilon > 0.0):
             raise ValueError("boundary_epsilon must be positive")
 
@@ -160,16 +161,7 @@ def simulate(target, cfg):
     return EmpiricalDistribution(
         out,
         clamp_fraction=clamped / total,
-        meta={
-            "target": target.name,
-            "params": dict(target.params),
-            "dt": dt,
-            "burn_in": cfg.burn_in,
-            "samples": cfg.samples,
-            "thinning": cfg.thinning,
-            "seed": int(cfg.seed),
-            "boundary_epsilon": eps,
-        },
+        meta={"target": target.name, "params": dict(target.params), **asdict(cfg)},
     )
 
 

@@ -204,10 +204,7 @@ class TargetMeasure:
         if self.coeff.kind == "polynomial" and self.mean == 0.0 and self.has_moment(2):
             m2 = moment_table(*self.coeff.as_tuple(), 2)[2]
         else:
-            try:
-                m2 = self.moment(2)
-            except Exception:
-                m2 = 1.0
+            m2 = self.moment(2)
         return math.sqrt(max(m2, 1e-12))
 
     def moment(self, k):
@@ -432,11 +429,12 @@ def beta_target(a, b):
     s = a + b
     m = a / s
     c = 2.0 / s
+    hi = 1.0 - m  # the upper end, as scipy places it
     lbeta = float(special.betaln(a, b))
 
     def logpdf(x, ns):
-        y = x + m
-        return (a - 1.0) * ns.log(y) + (b - 1.0) * ns.log1p(-y) - lbeta
+        # each factor from the distance to its own end, exact beside that end
+        return (a - 1.0) * ns.log(x + m) + (b - 1.0) * ns.log(hi - x) - lbeta
 
     return _target_from_scipy(
         "beta", (stats.beta, (a, b), {"loc": -m}), logpdf,
@@ -792,9 +790,10 @@ def _pearson_solution(target, f):
     return g
 
 
-def _derivative5(fn, x, h):
-    """Five-point central difference."""
-    return (-fn(x + 2 * h) + 8 * fn(x + h) - 8 * fn(x - h) + fn(x - 2 * h)) / (12 * h)
+def _derivative5(v, h):
+    """Five-point central difference from the values v at x - 2h, x - h, x,
+    x + h, x + 2h (the centre v[2] is not read)."""
+    return (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h)
 
 
 def _stein_operator(target, h, dh=None):
@@ -805,7 +804,8 @@ def _stein_operator(target, h, dh=None):
     """
     if dh is None:
         step = _FD_STEP * target.length_scale()
-        dh = lambda x: _derivative5(h, x, step)
+        dh = lambda x: _derivative5(
+            (h(x - 2 * step), h(x - step), None, h(x + step), h(x + 2 * step)), step)
 
     def op(x):
         return 0.5 * target.coeff(x) * dh(x) + target.drift(x) * h(x)
@@ -834,7 +834,7 @@ def stein_solution_residual(target, f, xs):
         step = _FD_STEP * target.length_scale()
         xs = np.clip(xs, lo + 2 * step, hi - 2 * step)
         v = g.sided(xs + step * _STENCIL[:, None], xs)  # rows x - 2h, ..., x + 2h
-        gx, dg = v[2], (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * step)
+        gx, dg = v[2], _derivative5(v, step)
     return 0.5 * target.coeff(xs) * dg + target.drift(xs) * gx - (f(xs) - g.mean_value)
 
 

@@ -75,6 +75,14 @@ def test_hermite_scalar_and_array_shapes():
     assert hermite(3, np.zeros((4, 5))).shape == (4, 5)
 
 
+def test_hermite_order_outside_the_float_factorials_raises():
+    # H_n = He_n / n! divides by n!, which no float holds past n = 170
+    assert math.isfinite(hermite(170, 1.5))
+    for n in (-1, 171):
+        with pytest.raises(ValueError, match="0..170"):
+            hermite(n, 1.5)
+
+
 def test_hermite_orthonormality_under_gaussian():
     # E[H_n(X) H_m(X)] = delta_{nm} / n!
     for n in range(5):
@@ -364,7 +372,7 @@ def test_chaos_vector_moments_against_quadrature():
     m2 = gauss_hermite_expectation(
         lambda p: eval_multiple_integral(F, p) ** 2, 2, degree=10
     )
-    assert math.isclose(F.second_moment(), m2, rel_tol=1e-11)
+    assert math.isclose(expect_product(F, F), m2, rel_tol=1e-11)
     assert math.isclose(F.expectation(), 0.3, rel_tol=1e-15)
     assert math.isclose(F.variance(), m2 - 0.3**2, rel_tol=1e-10)
 

@@ -289,6 +289,19 @@ def test_cli_error_exit_codes(capsys, tmp_path):
     assert code == 1 and "numeric failure" in err
 
 
+def test_cli_oracle_check_rejects_a_trial_count_below_one(capsys):
+    for m in ("0", "-3"):
+        code, out, err = run_cli(capsys, ["oracle-check", "--seed", "1", "--m", m])
+        assert code == 2 and "--m must be >= 1" in err and not out
+
+
+def test_cli_diagnose_rejects_a_negative_sample_count(capsys):
+    code, out, err = run_cli(capsys, ["diagnose", "--family", "gaussian_clt",
+                                      "--m", "2", "--name", "normal", "--gamma",
+                                      "1", "--mc", "-5", "--seed", "1"])
+    assert code == 2 and "--mc must be >= 0" in err and not out
+
+
 def test_cli_diagnose_rejects_non_integer_family_size(capsys):
     for k in ("2.5", "0"):
         code, out, err = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",

@@ -74,6 +74,11 @@ def test_simulate_meta_echo():
     assert e.meta["dt"] == FAST.dt
     assert e.meta["seed"] == FAST.seed
     assert e.count == FAST.samples
+    # the config fields in declaration order, and the seed as a plain int
+    e = simulate(t, dataclasses.replace(FAST, seed=np.int64(3)))
+    assert list(e.meta) == ["target", "params", "dt", "burn_in", "samples",
+                            "thinning", "seed", "boundary_epsilon"]
+    assert type(e.meta["seed"]) is int and e.meta["seed"] == 3
 
 
 def test_simulate_respects_bounded_support():

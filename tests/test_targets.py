@@ -150,6 +150,17 @@ def test_scipy_calls_equal_the_frozen_law_bit_for_bit(target, law):
         assert target.density(edge) == float(law.pdf(edge))
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 3.0), (0.3, 2.0)])
+def test_beta_density_is_finite_beside_both_ends(a, b):
+    # beside the upper end x + m rounds to 1, but the distance u - x is exact
+    t = beta_target(a, b)
+    l, u = t.support
+    for x in (math.nextafter(l, math.inf), math.nextafter(u, -math.inf)):
+        p = t.density(x)
+        assert type(p) is float and math.isfinite(p) and p > 0.0
+        assert math.isclose(p, float(t.density(np.array([x]))[0]), rel_tol=1e-13)
+
+
 @pytest.mark.parametrize("target", ALL_TARGETS,
                          ids=lambda t: f"{t.name}{t.params}")
 def test_polynomial_coeff_and_drift_on_a_float_equal_the_array_path(target):
@@ -469,6 +480,19 @@ def test_length_scale_reads_the_moment_ladder(target, monkeypatch):
     calls = _counting_quad(monkeypatch)
     assert math.isclose(target.length_scale(), want, rel_tol=1e-8)
     assert calls == []
+
+
+def test_length_scale_raises_when_its_quadrature_fails():
+    # a density that fails far out must not turn into a made-up scale
+    def density(y):
+        if abs(y) > 50.0:
+            raise ValueError(f"density undefined at {y!r}")
+        return math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+
+    t = TargetMeasure(name="raising", support=(-math.inf, math.inf), density=density,
+                      coeff=DiffusionCoefficient.numeric(lambda x: 2.0 + 0.0 * x))
+    with pytest.raises(ValueError, match="density undefined"):
+        t.length_scale()
 
 
 @pytest.mark.parametrize("target", [fdist_target(6.0, 10.0), inverse_gamma_target(3.0, 4.0)],
