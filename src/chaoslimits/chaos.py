@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -401,7 +402,11 @@ def eval_multiple_integral(f, x):
     """Evaluate I_n(f) (or a ChaosVector) pathwise at points x.
 
     x has shape (dim,) for one point or (N, dim) for a batch; returns a float
-    or an (N,) array accordingly.
+    or an (N,) array accordingly.  Every entry of every level is one row of a
+    gather plan (``_Gather``), and the points are taken in row blocks under a
+    fixed element budget, so memory stays bounded for any N.  Each point's
+    value is the running sum over the entries in level order, the same bits
+    as adding one entry at a time.
     """
     f = _vector(f)
     x = np.asarray(x, dtype=float)
@@ -409,22 +414,84 @@ def eval_multiple_integral(f, x):
     pts = x[None, :] if single else x
     if pts.shape[1] != f.dim:
         raise ValueError(f"points have dim {pts.shape[1]}, kernel has dim {f.dim}")
-    he = _hermite_monic_table(max(f.components, default=0), pts)  # (order+1, N, dim)
-    total = np.zeros(pts.shape[0])
-    for _, kern in sorted(f.components.items()):
-        _add_integral(total, kern, he)
+    order = max(f.components, default=0)
+    plan = _Gather.of(
+        [e for _, kern in sorted(f.components.items()) for e in kern.entries.items()],
+        f.dim)
+    total = np.empty(pts.shape[0])
+    rows = _block_rows((order + 1) * f.dim, len(plan.coef))
+    for lo in range(0, pts.shape[0], rows):
+        block = pts[lo:lo + rows]
+        total[lo:lo + rows] = _row_sum(plan.terms(_table(order, block)))
     return float(total[0]) if single else total
 
 
-def _add_integral(total, kern, he):
-    """Add I_n(kern) at N points to ``total`` in place, reading a monic
-    Hermite table he of shape (k+1, N, dim) with k >= n; returns ``total``."""
-    for idx, v in kern.entries.items():
-        term = np.full(he.shape[1], v * multiplicity(idx))
-        for i, k in _counts(idx).items():
-            term = term * he[k][:, i]
-        total += term
-    return total
+# Elements the largest array of one evaluation block may hold.
+_BLOCK_ELEMENTS = 1 << 16
+# Below this many columns numpy runs short inner loops over a (P, rows) array.
+_FEW_COLUMNS = 8
+
+
+def _block_rows(*widths):
+    """Points per block so that no (width, rows) array passes the budget.
+
+    A block of a few points costs more per point than a block of one, so
+    fewer than ``_FEW_COLUMNS`` become 1."""
+    rows = _BLOCK_ELEMENTS // max(1, *widths)
+    return rows if rows >= _FEW_COLUMNS else 1
+
+
+def _table(order, x):
+    """Monic Hermite table of a (rows, dim) block as ((order+1) dim, rows):
+    row k dim + i holds He_k(x[:, i])."""
+    return _hermite_monic_table(order, x.T).reshape(-1, x.shape[0])
+
+
+def _row_sum(a):
+    """Sum of a (P, rows) array's rows in row order, as ``total += row`` from
+    zero.  numpy's sum adds row by row only while axis 0 is not the fast axis
+    (one column gets pairwise summation), and slowly for few columns; there an
+    accumulation keeps the order (+ 0.0 turns its -0.0 into the +0.0 that a
+    sum from zero gives)."""
+    if a.shape[1] >= _FEW_COLUMNS:
+        return a.sum(axis=0)
+    if not len(a):
+        return np.zeros(a.shape[1])
+    return np.add.accumulate(a, axis=0)[-1] + 0.0
+
+
+@dataclass(frozen=True)
+class _Gather:
+    """Gather plan of a sum of basis integrals over one Hermite ``_table``.
+
+    Row p stands for coef[p] * prod_i He_{k_i}(x_i): ``cols`` holds the table
+    rows k_i dim + i in ascending i, padded with row 0 (He_0 = 1) to the
+    largest count of distinct coordinates."""
+
+    coef: np.ndarray
+    cols: tuple
+
+    @staticmethod
+    def of(entries, dim):
+        """Plan of (sorted index, value) pairs, in their order."""
+        coef, cols = [], []
+        for idx, v in entries:
+            coef.append(v * multiplicity(idx))
+            cols.append([k * dim + i for i, k in _counts(idx).items()])
+        width = max(map(len, cols), default=0)
+        cols = np.array([c + [0] * (width - len(c)) for c in cols],
+                        dtype=np.intp).reshape(len(coef), width)
+        return _Gather(np.array(coef, dtype=float), tuple(cols.T.copy()))
+
+    def terms(self, table):
+        """(P, rows) array of every row's term at the table's points, each
+        multiplied up in the plan's order."""
+        if not self.cols:
+            return np.repeat(self.coef[:, None], table.shape[1], axis=1)
+        out = self.coef[:, None] * table.take(self.cols[0], axis=0)
+        for col in self.cols[1:]:
+            out *= table.take(col, axis=0)
+        return out
 
 
 def _vector(F):
@@ -544,25 +611,45 @@ def wick_moment(factors, powers=None):
     return expect_product(fold(left), fold(right))
 
 
-def iter_gaussian_chunks(dim, count, seed, chunk_size=65536):
+_CHUNK_ROWS = 65536
+
+
+def iter_gaussian_chunks(dim, count, seed, chunk_size=_CHUNK_ROWS):
     """Yield (k, dim) blocks of i.i.d. standard normals, k <= chunk_size.
 
     Chunk c is drawn from ``default_rng([seed, c])``, so the stream is
     reproducible and chunk-parallel: the first N points never depend on how
     many more are requested.
     """
-    produced = 0
-    c = 0
-    while produced < count:
-        k = min(chunk_size, count - produced)
+    yield from _gaussian_blocks(dim, count, seed, chunk_size, chunk_size)
+
+
+def _gaussian_blocks(dim, count, seed, rows, chunk_size=_CHUNK_ROWS):
+    """The points of ``iter_gaussian_chunks`` in blocks of at most ``rows``.
+
+    Each chunk's generator draws its rows piecewise; consecutive
+    ``standard_normal`` calls give the numbers of one call, so the points are
+    those of ``sample_gaussian`` bit for bit.
+    """
+    for c, start in enumerate(range(0, count, chunk_size)):
         rng = np.random.default_rng([int(seed), c])
-        yield rng.standard_normal((k, dim))
-        produced += k
-        c += 1
+        k = min(chunk_size, count - start)
+        for lo in range(0, k, rows):
+            yield rng.standard_normal((min(rows, k - lo), dim))
+
+
+def _check_int(name, value, least=0):
+    """``value`` as an int >= ``least``, or a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def sample_gaussian(dim, count, seed):
     """(count, dim) array of i.i.d. standard normals; see iter_gaussian_chunks."""
+    count = _check_int("count", count)
     if count == 0:
         return np.empty((0, dim))
     return np.concatenate(list(iter_gaussian_chunks(dim, count, seed)), axis=0)

@@ -160,6 +160,8 @@ def _pair_doc(pair):
 def _cmd_diagnose(args):
     if args.mc < 0:
         raise ValueError(f"--mc must be >= 0, got {args.mc}")
+    if args.mc == 1:
+        raise ValueError("--mc must be 0 or >= 2 (a stderr needs two draws), got 1")
     if args.mc and args.seed is None:
         raise ValueError("--seed is required when --mc > 0")
     if args.family not in BUILTIN_FAMILIES:

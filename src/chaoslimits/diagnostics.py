@@ -33,12 +33,15 @@ from .chaos import (
     SymmetricKernel,
     chaos_product,
     contract,  # noqa: F401  (re-exported as chaoslimits.diagnostics.contract)
-    _add_integral,
-    _hermite_monic_table,
-    derivative_slices,
+    _Gather,
+    _block_rows,
+    _check_int,
+    _counts,
+    _gaussian_blocks,
+    _row_sum,
+    _table,
     expect_product,
     malliavin_inner,
-    sample_gaussian,
 )
 
 __all__ = [
@@ -304,19 +307,57 @@ def stein_residual_l2_direct(f, coeff):
     return expect_product(R, R)
 
 
-def _pathwise_parts(f, coeff, x):
-    """(a(F)(x)/2, n^{-1}||DF||^2(x)) evaluated through derivative slices."""
-    n = f.order
-    alpha, beta, gamma = _as_coeff_tuple(coeff)
-    he = _hermite_monic_table(n, x)  # one table serves F and every slice
-    v = _add_integral(np.zeros(x.shape[0]), f, he)
-    aval = alpha * v * v + beta * v + gamma
-    df2 = np.zeros(x.shape[0])
-    for s in derivative_slices(f):
-        sv = _add_integral(np.zeros(x.shape[0]), s, he)
-        df2 += sv * sv
-    df2 *= n * n
-    return 0.5 * aval, df2 / n
+class _PathwiseParts:
+    """x -> (a(F)(x)/2, n^{-1}||DF||^2(x)) on one block of points.
+
+    F is a ``_Gather`` plan over f's entries.  ||DF||^2 = n^2 sum_i
+    I_{n-1}(f(., i))^2 reads a second plan: one row per entry and distinct
+    coordinate i of it (the slice f(., i) at the entry minus one i), built in
+    O(nnz n) without forming the slices.  Its rows are grouped by rank within
+    their slice, so each slice adds its terms in entry order, one rank at a
+    time, and the squares are added in slice order: the same bits as
+    evaluating ``derivative_slices`` one by one.  Both plans share one
+    Hermite table per block, and ``rows`` keeps the block's arrays within the
+    element budget of ``chaos._block_rows``.
+    """
+
+    def __init__(self, f, coeff):
+        n = self.n = f.order
+        if n == 0:
+            raise ValueError("needs a kernel of order >= 1")
+        self.coeff = _as_coeff_tuple(coeff)
+        self.F = _Gather.of(f.entries.items(), f.dim)
+        slices = {}
+        for idx, v in f.entries.items():
+            for i in _counts(idx):
+                pos = idx.index(i)
+                slices.setdefault(i, []).append((idx[:pos] + idx[pos + 1:], v))
+        by_rank = {}  # rank r -> [(slice position, its r-th term)], ranks ascending
+        for s, i in enumerate(sorted(slices)):
+            for rank, term in enumerate(slices[i]):
+                by_rank.setdefault(rank, []).append((s, term))
+        self.slices = len(slices)
+        self.DF = _Gather.of([t for group in by_rank.values() for _, t in group], f.dim)
+        self.ranks, lo = [], 0
+        for rank, group in by_rank.items():
+            ids = np.array([s for s, _ in group], dtype=np.intp) if rank else slice(None)
+            self.ranks.append((slice(lo, lo + len(group)), ids))
+            lo += len(group)
+        self.rows = _block_rows((n + 1) * f.dim, len(self.F.coef), len(self.DF.coef))
+
+    def __call__(self, x):
+        n = self.n
+        alpha, beta, gamma = self.coeff
+        table = _table(n, x)
+        v = _row_sum(self.F.terms(table))
+        aval = alpha * v * v + beta * v + gamma
+        terms = self.DF.terms(table)
+        sv = np.zeros((self.slices, x.shape[0]))
+        for rows, ids in self.ranks:
+            sv[ids] += terms[rows]
+        df2 = _row_sum(sv * sv)
+        df2 *= n * n
+        return 0.5 * aval, df2 / n
 
 
 def _mean_stderr(values):
@@ -326,10 +367,22 @@ def _mean_stderr(values):
 def mc_twins(f, coeff, samples, seed):
     """Monte Carlo twins of ``stein_residual_l2``, ``prop24_gap`` and the L^1
     discrepancy E|a(F)/2 - n^{-1}||DF||^2| (reported as-is, no constant
-    asserted) from one draw of ``samples`` Gaussian points: three
-    (value, stderr) pairs, the gap's stderr being that of the difference."""
-    x = sample_gaussian(f.dim, samples, seed)
-    half_a, k = _pathwise_parts(f, coeff, x)
+    asserted) from ``samples`` Gaussian points: three (value, stderr) pairs,
+    the gap's stderr being that of the difference.
+
+    The points are those of ``sample_gaussian(f.dim, samples, seed)``, drawn
+    and evaluated in row blocks under a fixed element budget, so memory stays
+    bounded in dim and samples: only a(F)/2 and n^{-1}||DF||^2 are kept per
+    point.  ``samples`` must be an integer >= 2 (a stderr needs two draws).
+    """
+    samples = _check_int("samples", samples, 2)
+    parts = _PathwiseParts(f, coeff)
+    half_a, k = np.empty(samples), np.empty(samples)
+    lo = 0
+    for x in _gaussian_blocks(f.dim, samples, seed, parts.rows):
+        hi = lo + x.shape[0]
+        half_a[lo:hi], k[lo:hi] = parts(x)
+        lo = hi
     gap, gap_stderr = _mean_stderr(half_a**2 - k**2)
     return (
         _mean_stderr((half_a - k) ** 2),
@@ -448,7 +501,7 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
 
     ``target`` must carry a polynomial coefficient.  When ``mc_samples`` > 0 a
     seed is required and every chaos-route quantity gains a Monte Carlo twin
-    (value, stderr) computed from slice-based pathwise evaluation.
+    (value, stderr) from ``mc_twins``.
     """
     coeff = target.coeff
     try:

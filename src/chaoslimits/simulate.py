@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.stats
 
-from .chaos import iter_gaussian_chunks
+from .chaos import _check_int, iter_gaussian_chunks
 from .targets import _pivot, _stein_operator
 
 __all__ = [
@@ -61,7 +61,7 @@ class SimConfig:
             raise ValueError("thinning must be >= 1")
         if self.seed is None:
             raise ValueError("seed is required (no silent nondeterminism)")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed))
         if not (self.boundary_epsilon > 0.0):
             raise ValueError("boundary_epsilon must be positive")
 

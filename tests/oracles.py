@@ -2,10 +2,11 @@
 
 Everything here works on dense ndarrays, brute-force enumeration, adaptive
 quadrature or closed forms, sharing no code with the sparse orbit
-representation or the Gauss-Legendre grid table under test.  The exception
-is the last section: the Stein residual and the energy gap in full chaos
-arithmetic (a(F) expanded with the product formula), the references for the
-scalar routes in ``chaoslimits.diagnostics``.
+representation or the Gauss-Legendre grid table under test.  Two exceptions:
+``eval_integral_ref`` reads the package's Hermite table, and the last section
+holds the Stein residual and the energy gap in full chaos arithmetic (a(F)
+expanded with the product formula), the references for the scalar routes in
+``chaoslimits.diagnostics``.
 """
 import collections
 import itertools
@@ -16,6 +17,7 @@ from scipy import integrate
 
 from chaoslimits.chaos import (
     ChaosVector,
+    _hermite_monic_table,
     chaos_product,
     expect_product,
     malliavin_inner,
@@ -100,6 +102,28 @@ HERMITE_COEFFS = {
 def hermite_ref(n, x):
     """Normalized Hermite polynomial from the frozen coefficient table."""
     return np.polynomial.polynomial.polyval(x, HERMITE_COEFFS[n])
+
+
+def eval_integral_ref(F, x):
+    """I(F) at the (N, dim) points x, one entry at a time.
+
+    F is a SymmetricKernel or a ChaosVector.  Each entry's term
+    v mult(idx) prod_i He_{k_i}(x_i) is multiplied up in ascending i and added
+    to a running total from zero, level by level in ascending order: the
+    per-entry loop that the gathered evaluator replaced.  He_k is read from
+    the package's monic table, so this checks the gather, not the Hermite
+    recurrence (``hermite_ref`` checks that).
+    """
+    levels = F.components if isinstance(F, ChaosVector) else {F.order: F}
+    he = _hermite_monic_table(max(levels, default=0), x)
+    total = np.zeros(x.shape[0])
+    for _, kern in sorted(levels.items()):
+        for idx, v in kern.entries.items():
+            term = np.full(x.shape[0], v * multiplicity_ref(idx))
+            for i, k in sorted(collections.Counter(idx).items()):
+                term = term * he[k][:, i]
+            total += term
+    return total
 
 
 def naive_contract(f, g, r):

@@ -32,6 +32,7 @@ from oracles import (
     dense_block,
     dense_contract,
     dense_sym,
+    eval_integral_ref,
     gauss_hermite_expectation,
     hermite_ref,
     multiplicity_ref,
@@ -324,6 +325,46 @@ def test_eval_simple_polynomials():
     )
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), d=hst.integers(1, 6),
+       levels=hst.lists(hst.integers(0, 4), min_size=1, max_size=3, unique=True),
+       points=hst.integers(1, 40), seed=hst.integers(0, 2**32 - 1),
+       budget=hst.sampled_from([1, 400, 1 << 16]))
+def test_eval_matches_per_entry_loop_bit_for_bit(data, d, levels, points, seed,
+                                                 budget):
+    import chaoslimits.chaos as chaos
+
+    F = ChaosVector(d, {n: data.draw(_kernels(d, n, max_nnz=30)) for n in levels})
+    if len(F.components) == 1:
+        F = next(iter(F.components.values()))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((points, d))
+    x[rng.random((points, d)) < 0.1] = 0.0  # He_odd(0) = 0: signed-zero terms
+    want = eval_integral_ref(F, x)
+    saved = chaos._BLOCK_ELEMENTS
+    chaos._BLOCK_ELEMENTS = budget  # 1 evaluates one point per block
+    try:
+        got = eval_multiple_integral(F, x)
+        one = eval_multiple_integral(F, x[0])
+    finally:
+        chaos._BLOCK_ELEMENTS = saved
+    assert got.tobytes() == want.tobytes()
+    assert np.float64(one).tobytes() == want[:1].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (37, 1), (37, 3), (37, 12)])
+def test_row_sum_adds_rows_in_order(shape):
+    from chaoslimits.chaos import _row_sum
+
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=(shape[0], 1))
+    a[rng.random(shape) < 0.2] = -0.0
+    want = np.zeros(shape[1])
+    for row in a:
+        want += row
+    assert _row_sum(a).tobytes() == want.tobytes()
+
+
 def test_eval_single_point_shape():
     f = SymmetricKernel.basis(3, (0, 2))
     v = eval_multiple_integral(f, np.array([1.0, 2.0, 3.0]))
@@ -480,6 +521,27 @@ def test_gaussian_chunks_prefix_stability():
     chunks = list(iter_gaussian_chunks(2, 300, seed=5, chunk_size=64))
     assert sum(c.shape[0] for c in chunks) == 300
     assert all(c.shape[1] == 2 for c in chunks)
+
+
+def test_gaussian_blocks_are_the_sample_bit_for_bit():
+    from chaoslimits.chaos import _gaussian_blocks
+
+    want = sample_gaussian(3, 300, seed=5)
+    for rows in (1, 7, 64, 300):
+        blocks = list(_gaussian_blocks(3, 300, 5, rows))
+        assert max(len(b) for b in blocks) <= rows
+        assert np.array_equal(np.concatenate(blocks), want)
+    # blocks never straddle the seeded chunks of iter_gaussian_chunks
+    chunked = np.concatenate(list(iter_gaussian_chunks(3, 300, 5, chunk_size=64)))
+    blocks = list(_gaussian_blocks(3, 300, 5, 10, chunk_size=64))
+    assert [len(b) for b in blocks[:8]] == [10] * 6 + [4, 10]
+    assert np.array_equal(np.concatenate(blocks), chunked)
+
+
+@pytest.mark.parametrize("count", [-5, 2.0, 2.5, True, "3"])
+def test_sample_gaussian_rejects_bad_counts(count):
+    with pytest.raises(ValueError, match="count"):
+        sample_gaussian(3, count, seed=1)
 
 
 def test_sample_gaussian_is_deterministic():

@@ -411,13 +411,14 @@ def test_run_family_diagnostics_gamma_report():
 def test_run_family_diagnostics_mc_twins(monkeypatch):
     import chaoslimits.diagnostics as diag
 
-    draws = []
-    sample = diag.sample_gaussian
-    monkeypatch.setattr(diag, "sample_gaussian",
-                        lambda *args: draws.append(args) or sample(*args))
+    streams = []
+    blocks = diag._gaussian_blocks
+    monkeypatch.setattr(diag, "_gaussian_blocks",
+                        lambda *args: streams.append(args) or blocks(*args))
     fam, t = gaussian_clt_family(), normal_target(1.0)
     report = run_family_diagnostics(fam, [2, 4], t, mc_samples=20000, seed=31)
-    assert len(draws) == 2  # one draw per member
+    # one draw stream per member, at the member's own seed
+    assert [s[:3] for s in streams] == [(2, 20000, 31), (4, 20000, 31 + 1000003)]
     for j, (m, rec) in enumerate(zip([2, 4], report.members)):
         est, se = rec["stein_residual_l2_mc"]
         assert abs(est - rec["stein_residual_l2_chaos"]) < 5 * se
@@ -439,20 +440,29 @@ def test_pathwise_parts_reads_one_hermite_table(monkeypatch):
         return table(max_order, x)
 
     monkeypatch.setattr(chaoslimits.chaos, "_hermite_monic_table", counting)
-    monkeypatch.setattr(diag, "_hermite_monic_table", counting)
     f = gaussian_clt_family()(16)
-    got = mc_twins(f, beta_target(2.0, 3.0).coeff, 2000, 7)
-    assert orders == [2]  # F and all 16 derivative slices share one table
+    coeff = beta_target(2.0, 3.0).coeff
+    got = mc_twins(f, coeff, 2000, 7)
+    rows = diag._PathwiseParts(f, coeff).rows
+    assert 1 < rows < 2000
+    # one table per block of draws, never one per derivative slice
+    assert orders == [2] * -(-2000 // rows)
     # the same triple, bit for bit, as when F and each slice built their own
-    assert got == ((1.576496887291598, 0.0486994711760848),
-                   (0.9989666100637394, 0.01531674712984922),
-                   (1.143351720765224, 0.011605568041340364))
-    # and the shared table gives each part exactly as the public evaluation does
+    # table over the whole (2000, 16) draw
+    pinned = ((1.576496887291598, 0.0486994711760848),
+              (0.9989666100637394, 0.01531674712984922),
+              (1.143351720765224, 0.011605568041340364))
+    assert got == pinned
+    # and whatever the block size: one point per block, or ragged blocks
+    for budget in (1, 600):
+        monkeypatch.setattr(chaoslimits.chaos, "_BLOCK_ELEMENTS", budget)
+        assert mc_twins(f, coeff, 2000, 7) == pinned
+    # the shared table gives each part exactly as the public evaluation does
     rng = np.random.default_rng(12)
     g = random_kernel(rng, 4, 3, 10)
     x = rng.standard_normal((50, 4))
     orders.clear()
-    half_a, k = diag._pathwise_parts(g, (0.5, -1.0, 2.0), x)
+    half_a, k = diag._PathwiseParts(g, (0.5, -1.0, 2.0))(x)
     assert orders == [3]
     v = eval_multiple_integral(g, x)
     assert np.array_equal(half_a, 0.5 * (0.5 * v * v - 1.0 * v + 2.0))
@@ -460,6 +470,27 @@ def test_pathwise_parts_reads_one_hermite_table(monkeypatch):
     for s in derivative_slices(g):
         df2 += eval_multiple_integral(s, x) ** 2
     assert np.array_equal(k, df2 * 9 / 3)
+
+
+def test_mc_twins_memory_does_not_grow_with_the_draw():
+    import tracemalloc
+
+    f = gaussian_clt_family()(1024)
+    tracemalloc.start()
+    try:
+        mc_twins(f, beta_target(2.0, 3.0).coeff, 20000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole (20000, 1024) draw alone would be 164 MB
+    assert peak < 32e6, peak
+
+
+@pytest.mark.parametrize("samples", [1, 0, -5, 2.5, True])
+def test_mc_twins_rejects_bad_sample_counts(samples):
+    f = gaussian_clt_family()(2)
+    with pytest.raises(ValueError, match="samples"):
+        mc_twins(f, (0.0, 0.0, 2.0), samples, 1)
 
 
 def test_run_family_diagnostics_clt_large_m():

@@ -302,6 +302,14 @@ def test_cli_diagnose_rejects_a_negative_sample_count(capsys):
     assert code == 2 and "--mc must be >= 0" in err and not out
 
 
+def test_cli_diagnose_rejects_a_single_sample(capsys):
+    code, out, err = run_cli(capsys, ["diagnose", "--family", "gaussian_clt",
+                                      "--m", "2", "--name", "normal", "--gamma",
+                                      "1", "--mc", "1", "--seed", "1"])
+    assert code == 2 and "--mc must be 0 or >= 2" in err and not out
+    assert "Warning" not in err
+
+
 def test_cli_diagnose_rejects_non_integer_family_size(capsys):
     for k in ("2.5", "0"):
         code, out, err = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",

@@ -42,6 +42,18 @@ def test_simconfig_validation():
         SimConfig(seed=1, boundary_epsilon=0.0)
 
 
+@pytest.mark.parametrize("seed", [3.7, 3.0, True, "3"])
+def test_simconfig_rejects_a_seed_that_is_not_an_integer(seed):
+    # a float or bool seed used to be truncated to another chain's seed
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SimConfig(seed=seed)
+
+
+def test_simconfig_keeps_integer_seeds():
+    assert SimConfig(seed=np.int64(3)).seed == 3
+    assert type(SimConfig(seed=np.uint32(7)).seed) is int
+
+
 def test_empirical_distribution_sorts_and_counts():
     e = EmpiricalDistribution(np.array([3.0, 1.0, 2.0]))
     assert np.array_equal(e.values, [1.0, 2.0, 3.0])
