@@ -611,29 +611,25 @@ def wick_moment(factors, powers=None):
     return expect_product(fold(left), fold(right))
 
 
+# Points per seeded chunk of a Gaussian stream.
 _CHUNK_ROWS = 65536
 
 
-def iter_gaussian_chunks(dim, count, seed, chunk_size=_CHUNK_ROWS):
-    """Yield (k, dim) blocks of i.i.d. standard normals, k <= chunk_size.
+def iter_gaussian_chunks(dim, count, seed, rows=_CHUNK_ROWS):
+    """Yield (k, dim) blocks of i.i.d. standard normals, k <= ``rows``.
 
-    Chunk c is drawn from ``default_rng([seed, c])``, so the stream is
-    reproducible and chunk-parallel: the first N points never depend on how
-    many more are requested.
+    The stream is cut into chunks of a fixed 65,536 points, chunk c drawn
+    from ``default_rng([seed, c])``, so it is reproducible and prefix-stable:
+    the first N points never depend on how many more are requested.  Each
+    chunk's generator draws its rows in blocks of ``rows``, and consecutive
+    ``standard_normal`` calls give the numbers of one call, so the points do
+    not depend on ``rows`` either, and no block straddles two chunks.
     """
-    yield from _gaussian_blocks(dim, count, seed, chunk_size, chunk_size)
-
-
-def _gaussian_blocks(dim, count, seed, rows, chunk_size=_CHUNK_ROWS):
-    """The points of ``iter_gaussian_chunks`` in blocks of at most ``rows``.
-
-    Each chunk's generator draws its rows piecewise; consecutive
-    ``standard_normal`` calls give the numbers of one call, so the points are
-    those of ``sample_gaussian`` bit for bit.
-    """
-    for c, start in enumerate(range(0, count, chunk_size)):
-        rng = np.random.default_rng([int(seed), c])
-        k = min(chunk_size, count - start)
+    count, seed = _check_int("count", count), _check_int("seed", seed)
+    rows = _check_int("rows", rows, 1)
+    for c, start in enumerate(range(0, count, _CHUNK_ROWS)):
+        rng = np.random.default_rng([seed, c])
+        k = min(_CHUNK_ROWS, count - start)
         for lo in range(0, k, rows):
             yield rng.standard_normal((min(rows, k - lo), dim))
 
@@ -649,10 +645,7 @@ def _check_int(name, value, least=0):
 
 def sample_gaussian(dim, count, seed):
     """(count, dim) array of i.i.d. standard normals; see iter_gaussian_chunks."""
-    count = _check_int("count", count)
-    if count == 0:
-        return np.empty((0, dim))
-    return np.concatenate(list(iter_gaussian_chunks(dim, count, seed)), axis=0)
+    return np.concatenate([np.empty((0, dim)), *iter_gaussian_chunks(dim, count, seed)])
 
 
 def random_kernel(rng, dim, order, nnz):

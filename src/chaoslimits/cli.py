@@ -57,44 +57,47 @@ from .targets import NAMED_TARGETS, named_target, stein_solution_residual
 _STEIN_CHECK_TOL = 1e-6
 
 
+# target parameter flags: constructor keyword -> help (``--lambda`` is lam)
+_TARGET_PARAMS = {
+    "nu": "tail index (student, pareto)",
+    "a": "shape (gamma, f, beta; doubles as the inverse_gamma shape delta)",
+    "b": "second shape (f, beta)",
+    "lam": "rate (gamma, inverse_gamma)",
+    "gamma": "variance (normal)",
+}
+
+
 def _add_target_flags(sub):
     sub.add_argument("--name", help="named target (see targets-list)")
     sub.add_argument("--target", help="named target or target file path")
-    sub.add_argument("--nu", type=float, help="tail index (student, pareto)")
-    sub.add_argument("--a", type=float,
-                     help="shape (gamma, f, beta; doubles as the"
-                          " inverse_gamma shape delta)")
-    sub.add_argument("--b", type=float, help="second shape (f, beta)")
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="rate (gamma, inverse_gamma)")
-    sub.add_argument("--gamma", type=float, help="variance (normal)")
+    for key, text in _TARGET_PARAMS.items():
+        sub.add_argument(f"--{cio.file_param_name(key)}", dest=key, type=float,
+                         help=text)
 
 
 def _resolve_target(args):
-    """Target from --name/--target plus parameter flags."""
-    by_name = getattr(args, "name", None)
-    source = getattr(args, "target", None) or by_name
+    """Target from --name or --target plus every given parameter flag;
+    ``named_target`` rejects a flag its target does not take."""
+    if args.name is not None and args.target is not None:
+        raise ValueError("give --name or --target, not both")
+    source = args.target if args.name is None else args.name
     if source is None:
         raise ValueError("provide a target via --name or --target")
-    if source == by_name and source not in NAMED_TARGETS:
-        raise ValueError(
-            f"--name: unknown target {source!r}; choose from"
-            f" {sorted(NAMED_TARGETS)}"
-        )
-    if source in NAMED_TARGETS:
-        wanted = NAMED_TARGETS[source][1]
-        params = {}
-        for key in wanted:
-            flag = {"delta": "a"}.get(key, key)
-            val = getattr(args, flag, None)
-            if val is not None:
-                params[key] = val
-        return named_target(source, **params)
-    return cio.load_target(source)
+    params = {key: getattr(args, key) for key in _TARGET_PARAMS
+              if getattr(args, key) is not None}
+    if args.name is None and source not in NAMED_TARGETS:
+        if params:
+            flags = [f"--{cio.file_param_name(key)}" for key in params]
+            raise ValueError(f"a target file takes no parameter flags, got {flags}")
+        return cio.load_target(source)
+    if source == "inverse_gamma" and "a" in params:
+        params["delta"] = params.pop("a")
+    return named_target(source, **params)
 
 
 def _emit(doc, out=None):
-    text = cio.dumps_struct(doc)
+    """Print the report, stamped with the schema version, and maybe save it."""
+    text = cio.dumps_struct({"schema_version": cio.SCHEMA_VERSION, **doc})
     print(text)
     if out:
         with open(out, "w") as fh:
@@ -106,7 +109,7 @@ def _emit(doc, out=None):
 def _cmd_targets_list(args):
     rows = [{"name": name, "params": [cio.file_param_name(p) for p in wanted]}
             for name, (_, wanted) in NAMED_TARGETS.items()]
-    _emit({"schema_version": cio.SCHEMA_VERSION, "targets": rows}, args.out)
+    _emit({"targets": rows}, args.out)
     return 0
 
 
@@ -114,7 +117,6 @@ def _cmd_targets_coeffs(args):
     target = _resolve_target(args)
     alpha, beta, gamma = target.coeff.as_tuple()
     _emit({
-        "schema_version": cio.SCHEMA_VERSION,
         "target": cio.target_to_dict(target),
         "alpha": alpha,
         "beta": beta,
@@ -137,7 +139,6 @@ def _verdict_doc(v):
 def _cmd_classify(args):
     verdict = classifier(args.alpha, args.beta, args.gamma)
     _emit({
-        "schema_version": cio.SCHEMA_VERSION,
         "classifier": _verdict_doc(verdict),
     }, args.out)
     return 0
@@ -153,41 +154,29 @@ def _parse_m_list(text):
     return ms
 
 
-def _pair_doc(pair):
-    return {"value": pair[0], "stderr": pair[1]}
-
-
 def _cmd_diagnose(args):
     if args.mc < 0:
         raise ValueError(f"--mc must be >= 0, got {args.mc}")
     if args.mc == 1:
         raise ValueError("--mc must be 0 or >= 2 (a stderr needs two draws), got 1")
-    if args.mc and args.seed is None:
-        raise ValueError("--seed is required when --mc > 0")
     if args.family not in BUILTIN_FAMILIES:
         raise ValueError(
             f"--family: unknown family {args.family!r}; choose from"
             f" {sorted(BUILTIN_FAMILIES)}"
         )
-    family = BUILTIN_FAMILIES[args.family](1 if args.k is None else args.k)
+    family = BUILTIN_FAMILIES[args.family](**({} if args.k is None else {"k": args.k}))
     ms = _parse_m_list(args.m)
     target = _resolve_target(args)
     report = run_family_diagnostics(
         family, ms, target, mc_samples=args.mc, seed=args.seed
     )
-    members = []
-    for rec in report.members:
-        row = dict(rec)
-        for key in ("stein_residual_l2_mc", "prop24_gap_mc", "stein_discrepancy_l1"):
-            if key in row:
-                row[key] = _pair_doc(row[key])
-        members.append(row)
+    members = [{key: {"value": v[0], "stderr": v[1]} if isinstance(v, tuple) else v
+                for key, v in rec.items()} for rec in report.members]
     trends = {
         key: [None if v != v else v for v in vals]  # NaN -> null
         for key, vals in report.trends.items()
     }
     _emit({
-        "schema_version": cio.SCHEMA_VERSION,
         "family": report.family,
         "order": report.order,
         "target": cio.target_to_dict(target),
@@ -213,8 +202,7 @@ def _cmd_simulate(args):
         target.sample_exact(emp.count, seed=cfg.seed + 1)
     )
     dictionary, dict_ok = stein_dictionary_test(emp, target)
-    doc = {
-        "schema_version": cio.SCHEMA_VERSION,
+    _emit({
         "target": cio.target_to_dict(target),
         "config": dataclasses.asdict(cfg),
         "results": {
@@ -231,9 +219,7 @@ def _cmd_simulate(args):
             },
             "dictionary_pass": dict_ok,
         },
-    }
-    text = cio.dumps_struct(doc)
-    print(text)
+    })
     if args.out:
         cio.save_samples(emp, args.out)
     return 0
@@ -252,7 +238,6 @@ def _cmd_stein_check(args):
         worst = max(worst, res)
     ok = worst < _STEIN_CHECK_TOL
     _emit({
-        "schema_version": cio.SCHEMA_VERSION,
         "target": cio.target_to_dict(target),
         "grid_points": len(xs),
         "max_abs_residual": residuals,
@@ -306,7 +291,6 @@ def _cmd_oracle_check(args):
 
     failures = sum(f for _, f in counts.values())
     _emit({
-        "schema_version": cio.SCHEMA_VERSION,
         "trials": args.m,
         "checks": {name: {"pass": p, "fail": f}
                    for name, (p, f) in sorted(counts.items())},
@@ -343,8 +327,8 @@ def build_parser():
     p.add_argument("--family", required=True,
                    help="gaussian_clt or gamma_fixed (k via --k)")
     p.add_argument("--k", type=float,
-                   help="gamma_fixed family size k (default 1); the limit"
-                        " is Gamma(k/2, 1/2)")
+                   help="gamma_fixed only: family size k (default 1); the"
+                        " limit is Gamma(k/2, 1/2)")
     p.add_argument("--m", required=True,
                    help="comma-separated member indices, e.g. 1,2,4,8")
     p.add_argument("--mc", type=int, default=0,

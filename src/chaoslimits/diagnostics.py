@@ -37,10 +37,10 @@ from .chaos import (
     _block_rows,
     _check_int,
     _counts,
-    _gaussian_blocks,
     _row_sum,
     _table,
     expect_product,
+    iter_gaussian_chunks,
     malliavin_inner,
 )
 
@@ -379,7 +379,7 @@ def mc_twins(f, coeff, samples, seed):
     parts = _PathwiseParts(f, coeff)
     half_a, k = np.empty(samples), np.empty(samples)
     lo = 0
-    for x in _gaussian_blocks(f.dim, samples, seed, parts.rows):
+    for x in iter_gaussian_chunks(f.dim, samples, seed, parts.rows):
         hi = lo + x.shape[0]
         half_a[lo:hi], k[lo:hi] = parts(x)
         lo = hi
@@ -430,14 +430,14 @@ def lemma_l11_gap(f, coeff):
 
 @dataclass(frozen=True)
 class KernelFamily:
-    """A sequence of kernels indexed by m, all of one fixed order."""
+    """A sequence of kernels indexed by an integer m >= 1, all of one fixed order."""
 
     name: str
     order: int
     member: object = field(repr=False)
 
     def __call__(self, m):
-        k = self.member(m)
+        k = self.member(_check_int("m", m, 1))
         if k.order != self.order:
             raise ValueError("family produced a kernel of the wrong order")
         return k
@@ -446,18 +446,17 @@ class KernelFamily:
 def gaussian_clt_family():
     """f_m = (2m)^{-1/2} sum_{i<m} e_i^{x2}: E[F_m^2] = 1, fourth moment 3 + 12/m."""
     def member(m):
-        if m < 1:
-            raise ValueError("family index m must be >= 1")
         entries = {(i, i): 1.0 / math.sqrt(2.0 * m) for i in range(m)}
         return SymmetricKernel(m, 2, entries)
 
     return KernelFamily("gaussian_clt", 2, member)
 
 
-def gamma_fixed_family(k):
+def gamma_fixed_family(k=1):
     """f = sum_{i<k} e_i^{x2}, constant in m: F ~ centered Gamma(k/2, 1/2).
 
-    k must be a whole number >= 1 (an integral float such as 4.0 is accepted).
+    k must be a whole number >= 1, default 1 (an integral float such as 4.0 is
+    accepted).
     """
     if not (k >= 1 and float(k).is_integer()):
         raise ValueError(f"gamma_fixed needs an integer k >= 1, got {k!r}")
@@ -470,8 +469,8 @@ def gamma_fixed_family(k):
 
 
 BUILTIN_FAMILIES = {
-    "gaussian_clt": lambda k=None: gaussian_clt_family(),
-    "gamma_fixed": lambda k: gamma_fixed_family(k),
+    "gaussian_clt": gaussian_clt_family,
+    "gamma_fixed": gamma_fixed_family,
 }
 
 
@@ -499,9 +498,9 @@ def _ratio_trend(values):
 def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
     """Evaluate the full diagnostic battery for family members m in ms.
 
-    ``target`` must carry a polynomial coefficient.  When ``mc_samples`` > 0 a
-    seed is required and every chaos-route quantity gains a Monte Carlo twin
-    (value, stderr) from ``mc_twins``.
+    ``target`` must carry a polynomial coefficient.  When ``mc_samples`` > 0 an
+    integer seed is required and every chaos-route quantity gains a Monte Carlo
+    twin (value, stderr) from ``mc_twins``.
     """
     coeff = target.coeff
     try:
@@ -511,8 +510,8 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
             "family diagnostics need a target with a polynomial diffusion"
             " coefficient"
         ) from None
-    if mc_samples and seed is None:
-        raise ValueError("Monte Carlo diagnostics need a seed")
+    if mc_samples:
+        seed = _check_int("seed", seed)
     lam_match = None
     if target.name == "gamma":
         lam_match = target.params["lam"]
@@ -542,7 +541,7 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
             if alpha != 1.0:
                 rec["lemma_l11_gap"] = lemma_l11_gap(f, coeff)
         if mc_samples:
-            sub = int(seed) + 1000003 * j
+            sub = seed + 1000003 * j
             (rec["stein_residual_l2_mc"], rec["prop24_gap_mc"],
              rec["stein_discrepancy_l1"]) = mc_twins(f, coeff, mc_samples, sub)
         members.append(rec)

@@ -128,21 +128,15 @@ def load_kernel(path):
         if not isinstance(e, dict) or "idx" not in e or "val" not in e:
             raise ValueError(f"kernel file: entry {pos} needs 'idx' and 'val'")
         idx = tuple(e["idx"])
-        if len(idx) != order:
-            raise ValueError(f"kernel file: entry {pos} idx has length"
-                             f" {len(idx)}, expected order {order}")
         if any(not isinstance(i, int) for i in idx):
             raise ValueError(f"kernel file: entry {pos} idx must be integers")
-        if any(i < 0 or i >= dim for i in idx):
-            raise ValueError(f"kernel file: entry {pos} idx {list(idx)} out of"
-                             f" range for dim {dim}")
-        if tuple(sorted(idx)) != idx:
-            raise ValueError(f"kernel file: entry {pos} idx {list(idx)} is not"
-                             " sorted ascending")
         if idx in entries:
             raise ValueError(f"kernel file: duplicate idx {list(idx)}")
         entries[idx] = float(e["val"])
-    return SymmetricKernel(dim, order, entries)
+    try:  # the constructor checks each idx's length, sorting and range
+        return SymmetricKernel(dim, order, entries)
+    except ValueError as exc:
+        raise ValueError(f"kernel file: {exc}") from None
 
 
 # --- targets -------------------------------------------------------------------

@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, interpolate, special, stats
 
+from .chaos import _check_int
+
 __all__ = [
     "DiffusionCoefficient",
     "TargetMeasure",
@@ -230,7 +232,7 @@ class TargetMeasure:
         """Inverse-CDF sampling (independent draws, not the diffusion)."""
         if self.ppf is None:
             raise ValueError(f"target {self.name!r} has no quantile function")
-        rng = np.random.default_rng([int(seed), 0x5EED])
+        rng = np.random.default_rng([_check_int("seed", seed), 0x5EED])
         return np.asarray(self.ppf(rng.uniform(size=count)), dtype=float)
 
 
@@ -554,7 +556,7 @@ class _LogPchipTable:
         return tail
 
 
-def target_from_density_grid(xs, ps, support=None, name="custom"):
+def target_from_density_grid(xs, ps, support=None):
     """Target from a tabulated density, interpolated monotonically in log space.
 
     The grid must be strictly increasing with positive densities; the support
@@ -612,7 +614,7 @@ def target_from_density_grid(xs, ps, support=None, name="custom"):
         lambda y: mean - y, table.cumulative, density, (lo, hi),
         lambda x: x <= median))
     return TargetMeasure(
-        name=name, support=(lo, hi), density=density, coeff=coeff, cdf=cdf,
+        name="custom", support=(lo, hi), density=density, coeff=coeff, cdf=cdf,
         ppf=ppf, params={"grid_points": len(xs)}, mean=mean, mean_shift=mean,
         _cumulative=table.cumulative,
     )

@@ -513,29 +513,32 @@ def test_ou_inverse_rejects_nonzero_mean():
 
 # --- seeded sampling -----------------------------------------------------------------
 
+# one full seeded chunk of 65,536 points plus 100 points of the next
+_PAST_CHUNK = 65_536 + 100
+
+
 def test_gaussian_chunks_prefix_stability():
-    # the first N draws never depend on how many more are requested
-    a = sample_gaussian(2, 150, seed=5)
-    b = sample_gaussian(2, 300, seed=5)
-    assert np.array_equal(a, b[:150])
-    chunks = list(iter_gaussian_chunks(2, 300, seed=5, chunk_size=64))
-    assert sum(c.shape[0] for c in chunks) == 300
-    assert all(c.shape[1] == 2 for c in chunks)
+    # the first N draws never depend on how many more are requested,
+    # on either side of the boundary of the first seeded chunk
+    full = sample_gaussian(1, _PAST_CHUNK, seed=5)
+    for n in (150, 65_536, 65_537):
+        assert np.array_equal(sample_gaussian(1, n, seed=5), full[:n])
+    chunks = list(iter_gaussian_chunks(1, _PAST_CHUNK, seed=5))
+    assert [c.shape for c in chunks] == [(65_536, 1), (100, 1)]
+    # chunk c comes from its own generator default_rng([seed, c])
+    second = np.random.default_rng([5, 1]).standard_normal((100, 1))
+    assert np.array_equal(full[65_536:], second)
 
 
 def test_gaussian_blocks_are_the_sample_bit_for_bit():
-    from chaoslimits.chaos import _gaussian_blocks
-
-    want = sample_gaussian(3, 300, seed=5)
-    for rows in (1, 7, 64, 300):
-        blocks = list(_gaussian_blocks(3, 300, 5, rows))
-        assert max(len(b) for b in blocks) <= rows
+    want = sample_gaussian(1, _PAST_CHUNK, seed=5)
+    for rows in (3, 1000, 65_536, 100_000):
+        blocks = list(iter_gaussian_chunks(1, _PAST_CHUNK, 5, rows))
+        sizes = [len(b) for b in blocks]
+        assert max(sizes) <= rows
         assert np.array_equal(np.concatenate(blocks), want)
-    # blocks never straddle the seeded chunks of iter_gaussian_chunks
-    chunked = np.concatenate(list(iter_gaussian_chunks(3, 300, 5, chunk_size=64)))
-    blocks = list(_gaussian_blocks(3, 300, 5, 10, chunk_size=64))
-    assert [len(b) for b in blocks[:8]] == [10] * 6 + [4, 10]
-    assert np.array_equal(np.concatenate(blocks), chunked)
+        # blocks never straddle the seeded chunks: one ends at the boundary
+        assert 65_536 in np.cumsum(sizes)
 
 
 @pytest.mark.parametrize("count", [-5, 2.0, 2.5, True, "3"])

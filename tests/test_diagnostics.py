@@ -412,8 +412,8 @@ def test_run_family_diagnostics_mc_twins(monkeypatch):
     import chaoslimits.diagnostics as diag
 
     streams = []
-    blocks = diag._gaussian_blocks
-    monkeypatch.setattr(diag, "_gaussian_blocks",
+    blocks = diag.iter_gaussian_chunks
+    monkeypatch.setattr(diag, "iter_gaussian_chunks",
                         lambda *args: streams.append(args) or blocks(*args))
     fam, t = gaussian_clt_family(), normal_target(1.0)
     report = run_family_diagnostics(fam, [2, 4], t, mc_samples=20000, seed=31)
@@ -598,6 +598,7 @@ def test_run_family_diagnostics_guards():
 def test_builtin_families_registry():
     assert BUILTIN_FAMILIES["gaussian_clt"]()(3).dim == 3
     assert BUILTIN_FAMILIES["gamma_fixed"](2)(7).dim == 2
+    assert BUILTIN_FAMILIES["gamma_fixed"]()(7).dim == 1
     assert BUILTIN_FAMILIES["gamma_fixed"](4.0)(1).dim == 4
     for bad in (0, 2.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):

@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 
 from chaoslimits import (
+    BUILTIN_FAMILIES,
     SymmetricKernel,
     cli,
     dumps_struct,
+    gamma_fixed_family,
     gamma_target,
+    gaussian_clt_family,
+    iter_gaussian_chunks,
     load_kernel,
     load_target,
+    mc_twins,
+    normal_target,
+    run_family_diagnostics,
+    sample_gaussian,
     save_kernel,
     save_samples,
     simulate,
@@ -347,3 +355,67 @@ def test_cli_diagnose_pairs_gamma_family_with_its_named_limit(capsys):
                                     "--m", "1", "--name", "gamma", "--a", "3",
                                     "--lambda", "0.5"])
     assert code == 0 and json.loads(out)["members"][0]["dim"] == 1
+
+
+# --- one check per input: nothing given is silently dropped ---------------------------
+
+GRID_FILE = str(Path(__file__).parent / "data" / "normal_grid97.json")
+
+
+@pytest.mark.parametrize("argv, named", [
+    # a target flag the named target does not take
+    (["targets-coeffs", "--name", "gamma", "--a", "2", "--lambda", "1",
+      "--nu", "9"], "nu"),
+    (["targets-coeffs", "--name", "beta", "--a", "2", "--b", "3",
+      "--gamma", "1"], "gamma"),
+    (["stein-check", "--name", "normal", "--gamma", "1", "--lambda", "2"], "lam"),
+    # a target flag with a target file
+    (["stein-check", "--target", GRID_FILE, "--gamma", "5"], "--gamma"),
+    # both --name and --target
+    (["targets-coeffs", "--name", "beta", "--a", "2", "--b", "3",
+      "--target", "normal", "--gamma", "1"], "--target"),
+    # --k on a family that has no size
+    (["diagnose", "--family", "gaussian_clt", "--k", "5", "--m", "2",
+      "--name", "normal", "--gamma", "1"], "'k'"),
+])
+def test_cli_rejects_an_input_it_would_drop(capsys, argv, named):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and named in err and not out
+
+
+def _mc_twins(seed):
+    return mc_twins(gaussian_clt_family()(2), (0.0, 0.0, 2.0), 10, seed)
+
+
+def _family_mc(seed):
+    return run_family_diagnostics(gaussian_clt_family(), [2], normal_target(1.0),
+                                  mc_samples=10, seed=seed)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: SimConfig(burn_in=True, seed=1), "burn_in"),
+    (lambda: SimConfig(burn_in=2.5, seed=1), "burn_in"),
+    (lambda: SimConfig(samples=100.0, seed=1), "samples"),
+    (lambda: SimConfig(thinning=True, seed=1), "thinning"),
+    (lambda: gaussian_clt_family()(2.5), "m"),
+    (lambda: gaussian_clt_family()(0), "m"),
+    (lambda: gamma_fixed_family(2)(-3), "m"),
+    (lambda: sample_gaussian(2, 10, 3.7), "seed"),
+    (lambda: sample_gaussian(2, 0, True), "seed"),
+    (lambda: list(iter_gaussian_chunks(1, -5, 1)), "count"),
+    (lambda: list(iter_gaussian_chunks(1, 5, 1, rows=-1)), "rows"),
+    (lambda: _mc_twins(3.7), "seed"),
+    (lambda: _family_mc(3.7), "seed"),
+    (lambda: _family_mc(True), "seed"),
+    (lambda: gamma_target(2.0, 1.0).sample_exact(10, seed=3.7), "seed"),
+    (lambda: gamma_target(2.0, 1.0).sample_exact(10, seed=True), "seed"),
+])
+def test_library_rejects_an_input_it_would_drop(call, named):
+    # each is rejected, never truncated (3.7 -> 3, True -> 1) or ignored
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
+def test_gaussian_clt_family_takes_no_size():
+    with pytest.raises(TypeError, match="'k'"):
+        BUILTIN_FAMILIES["gaussian_clt"](k=5)
