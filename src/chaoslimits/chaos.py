@@ -129,7 +129,7 @@ class SymmetricKernel:
             raise ValueError("dim and order must be nonnegative")
         clean = {}
         for idx, val in self.entries.items():
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(_check_int("index", i) for i in idx)
             _check_index(idx, self.order, self.dim)
             val = float(val)
             if val != 0.0:
@@ -242,7 +242,7 @@ def symmetrize(raw, dim, order):
     """
     out = {}
     for idx, v in raw.items():
-        idx = tuple(int(i) for i in idx)
+        idx = tuple(_check_int("index", i) for i in idx)
         if len(idx) != order:
             raise ValueError(f"raw index {idx!r} has wrong length")
         key = tuple(sorted(idx))

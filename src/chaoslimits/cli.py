@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -363,10 +364,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call in a process; parsing leaves it
+    unchanged, so every later ``main`` call reuses it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -175,7 +175,12 @@ def load_target(path):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("target file: 'params' must be an object")
-    kwargs = {_PARAM_TO_KW.get(k, k): float(v) for k, v in params.items()}
+    kwargs = {}
+    for k, v in params.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"target file: parameter {k!r} must be a number,"
+                             f" got {v!r}")
+        kwargs[_PARAM_TO_KW.get(k, k)] = float(v)
     return named_target(name, **kwargs)
 
 

@@ -21,11 +21,13 @@ Densities are closed forms: every named target evaluates its log-density
 with ``math`` on a Python float (and with numpy on an array), and a
 polynomial a(x) and the drift compute in floats on a float, so an adaptive
 ``quad`` node pays for float arithmetic rather than numpy wrapping.  The
-scipy distributions, shared and never frozen per target, serve the cdf, the
-ppf and exact sampling, and are the tests' reference density.  A grid
-target evaluates its log-PCHIP piece by piece on a float, and every
-integral against it (mass, mean, cdf, a(x), Stein solutions) reads one
-Gauss-Legendre table of its pieces instead of calling ``quad``.
+cdf, the ppf (and so exact sampling) and the support come from
+``scipy.special`` in scipy.stats' own operation order (``_law``), equal to
+the frozen scipy law bit for bit without its generic wrapper; scipy.stats is
+the tests' reference.  A grid target evaluates its log-PCHIP piece by piece
+on a float, and every integral against it (mass, mean, cdf, a(x), Stein
+solutions) reads one Gauss-Legendre table of its pieces instead of calling
+``quad``.
 
 A nearer-tail quotient (a numeric a(x), a quadrature Stein solution) takes
 one tail call per side of its pivot on an array of points: one table call
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, interpolate, special, stats
+from scipy import integrate, interpolate, special
 
 from .chaos import _check_int
 
@@ -272,26 +274,57 @@ def _closed_form_density(logpdf, support, edges):
     return density
 
 
-def _target_from_scipy(name, law, logpdf, coeff, params, moment_bound=math.inf,
-                       mean_shift=0.0):
-    """Named target: closed-form density, scipy's cdf, ppf and endpoint values.
+def _law(cdf01, ppf01, ends=(-math.inf, math.inf), loc=0.0, scale=1.0):
+    """(support, cdf, ppf) of loc + scale Y, Y having the ``scipy.special``
+    cdf ``cdf01`` and ppf ``ppf01`` on the interval ``ends``.
 
-    ``law`` is (dist, args, kwds): a shared scipy distribution and the shape,
-    loc and scale arguments each call passes, as a frozen law would pass
-    them.  Freezing builds a new distribution object, which cost most of a
-    target's build.
+    Each step is scipy.stats' own, in its order and with its edge values (0
+    below the support and 1 above it, the ends at q = 0 and 1, nan at nan and
+    for q outside [0, 1]), so a value, and its type, equals the frozen scipy
+    law's bit for bit, without the generic wrapper's cost.
     """
-    dist, args, kwds = law
-    lo, hi = (float(e) for e in dist.support(*args, **kwds))
-    edges = tuple(float(dist.pdf(e, *args, **kwds)) if math.isfinite(e) else 0.0
-                  for e in (lo, hi))
+    a, b = ends
+    support = (a * scale + loc, b * scale + loc)
+
+    def cdf(x):
+        y = (np.asarray(x, dtype=float) - loc) / scale
+        out = np.zeros(y.shape)
+        out[np.isnan(y)] = np.nan
+        out[y >= b] = 1.0
+        inside = (a < y) & (y < b)
+        out[inside] = cdf01(y[inside])
+        return out[()] if out.ndim == 0 else out
+
+    def ppf(q):
+        q = np.asarray(q, dtype=float)
+        out = np.full(q.shape, np.nan)
+        out[q == 0] = support[0]
+        out[q == 1] = support[1]
+        inside = (0 < q) & (q < 1)
+        out[inside] = ppf01(q[inside]) * scale + loc
+        return out[()] if out.ndim == 0 else out
+
+    return support, cdf, ppf
+
+
+def _end_density(power, at_power_zero):
+    """A density's value at an end where it behaves as c d^power in the
+    distance d to that end: inf, ``at_power_zero`` (= c) or 0."""
+    return math.inf if power < 0 else at_power_zero if power == 0 else 0.0
+
+
+def _named_target(name, law, logpdf, edges, coeff, params, moment_bound=math.inf,
+                  mean_shift=0.0):
+    """Named target: closed-form density with end values ``edges``, and the
+    support, cdf and ppf of ``law`` (from ``_law``)."""
+    support, cdf, ppf = law
     return TargetMeasure(
         name=name,
-        support=(lo, hi),
-        density=_closed_form_density(logpdf, (lo, hi), edges),
+        support=support,
+        density=_closed_form_density(logpdf, support, edges),
         coeff=coeff,
-        cdf=lambda x: dist.cdf(x, *args, **kwds),
-        ppf=lambda q: dist.ppf(q, *args, **kwds),
+        cdf=cdf,
+        ppf=ppf,
         params=dict(params),
         moment_bound=moment_bound,
         mean_shift=mean_shift,
@@ -305,9 +338,9 @@ def normal_target(gamma=1.0):
         raise ValueError("normal target needs gamma > 0")
     s = math.sqrt(g)
     c = -math.log(s) - 0.5 * math.log(2.0 * math.pi)
-    return _target_from_scipy(
-        "normal", (stats.norm, (), {"loc": 0.0, "scale": s}),
-        lambda x, ns: c - 0.5 * (x / s) ** 2,
+    return _named_target(
+        "normal", _law(special.ndtr, special.ndtri, scale=s),
+        lambda x, ns: c - 0.5 * (x / s) ** 2, (0.0, 0.0),
         DiffusionCoefficient.polynomial(0.0, 0.0, 2.0 * g),
         {"gamma": g},
     )
@@ -321,9 +354,10 @@ def student_target(nu):
     al = 2.0 / (nu - 1.0)
     c = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
          - 0.5 * (math.log(nu) + math.log(math.pi)))
-    return _target_from_scipy(
-        "student", (stats.t, (), {"df": nu}),
-        lambda x, ns: c - 0.5 * (nu + 1.0) * ns.log1p(x * x / nu),
+    return _named_target(
+        "student",
+        _law(lambda y: special.stdtr(nu, y), lambda q: special.stdtrit(nu, q)),
+        lambda x, ns: c - 0.5 * (nu + 1.0) * ns.log1p(x * x / nu), (0.0, 0.0),
         DiffusionCoefficient.polynomial(al, 0.0, 2.0 * nu / (nu - 1.0)),
         {"nu": nu}, moment_bound=nu,
     )
@@ -338,9 +372,11 @@ def pareto_target(nu):
     c = 2.0 / (nu - 1.0)
     loc = -1.0 - m
     log_nu = math.log(nu)
-    return _target_from_scipy(
-        "pareto", (stats.pareto, (), {"b": nu, "loc": loc}),
-        lambda x, ns: log_nu - (nu + 1.0) * ns.log(x - loc),
+    return _named_target(
+        "pareto",
+        _law(lambda y: 1 - y ** (-nu), lambda q: pow(1 - q, -1.0 / nu),
+             (1.0, math.inf), loc=loc),
+        lambda x, ns: log_nu - (nu + 1.0) * ns.log(x - loc), (nu, 0.0),
         DiffusionCoefficient.polynomial(c, c * (1.0 + 2.0 * m), c * m * (1.0 + m)),
         {"nu": nu}, moment_bound=nu, mean_shift=m,
     )
@@ -359,8 +395,11 @@ def gamma_target(a, lam):
         y = (x + m) / scale
         return (a - 1.0) * ns.log(y) - y + c
 
-    return _target_from_scipy(
-        "gamma", (stats.gamma, (a,), {"scale": scale, "loc": -m}), logpdf,
+    return _named_target(
+        "gamma",
+        _law(lambda y: special.gammainc(a, y), lambda q: special.gammaincinv(a, q),
+             (0.0, math.inf), loc=-m, scale=scale),
+        logpdf, (_end_density(a - 1.0, 1.0 / scale), 0.0),
         DiffusionCoefficient.polynomial(0.0, 2.0 / lam, 2.0 * a / lam**2),
         {"a": a, "lam": lam}, mean_shift=m,
     )
@@ -380,9 +419,12 @@ def inverse_gamma_target(delta, lam):
         y = (x + m) / delta
         return -(lam + 1.0) * ns.log(y) - 1.0 / y + const
 
-    return _target_from_scipy(
-        "inverse_gamma", (stats.invgamma, (lam,), {"scale": delta, "loc": -m}),
-        logpdf,
+    return _named_target(
+        "inverse_gamma",
+        _law(lambda y: special.gammaincc(lam, 1.0 / y),
+             lambda q: 1.0 / special.gammainccinv(lam, q),
+             (0.0, math.inf), loc=-m, scale=delta),
+        logpdf, (0.0, 0.0),  # exp(-1/y) beats every power of y at 0
         DiffusionCoefficient.polynomial(c, 2.0 * c * m, c * m * m),
         {"delta": delta, "lam": lam}, moment_bound=lam, mean_shift=m,
     )
@@ -403,8 +445,11 @@ def fdist_target(a, b):
         y = x + m
         return (0.5 * a - 1.0) * ns.log(y) - 0.5 * (a + b) * ns.log(b + a * y) + c
 
-    return _target_from_scipy(
-        "f", (stats.f, (a, b), {"loc": -m}), logpdf,
+    return _named_target(
+        "f",
+        _law(lambda y: special.fdtr(a, b, y), lambda q: special.fdtri(a, b, q),
+             (0.0, math.inf), loc=-m),
+        logpdf, (_end_density(0.5 * a - 1.0, 1.0), 0.0),
         DiffusionCoefficient.polynomial(
             k * a, k * (b + 2.0 * a * m), k * m * (b + a * m)
         ),
@@ -414,9 +459,9 @@ def fdist_target(a, b):
 
 def uniform_centered_target():
     """Uniform on (-1/2, 1/2): a(x) = 1/4 - x^2."""
-    return _target_from_scipy(
-        "uniform", (stats.uniform, (), {"loc": -0.5, "scale": 1.0}),
-        lambda x, ns: 0.0,
+    return _named_target(
+        "uniform", _law(lambda y: y, lambda q: q, (0.0, 1.0), loc=-0.5),
+        lambda x, ns: 0.0, (1.0, 1.0),
         DiffusionCoefficient.polynomial(-1.0, 0.0, 0.25), {},
         mean_shift=0.5,
     )
@@ -438,8 +483,11 @@ def beta_target(a, b):
         # each factor from the distance to its own end, exact beside that end
         return (a - 1.0) * ns.log(x + m) + (b - 1.0) * ns.log(hi - x) - lbeta
 
-    return _target_from_scipy(
-        "beta", (stats.beta, (a, b), {"loc": -m}), logpdf,
+    return _named_target(
+        "beta",
+        _law(lambda y: special.betainc(a, b, y), lambda q: special.betaincinv(a, b, q),
+             (0.0, 1.0), loc=-m),
+        logpdf, (_end_density(a - 1.0, b), _end_density(b - 1.0, a)),
         DiffusionCoefficient.polynomial(-c, c * (b - a) / s, c * a * b / s**2),
         {"a": a, "b": b}, mean_shift=m,
     )

@@ -26,6 +26,7 @@ from chaoslimits import (
     save_samples,
     simulate,
     SimConfig,
+    symmetrize,
 )
 from chaoslimits.io import format_float, load_samples, save_target
 from test_golden_cli import TARGET_PARAMS
@@ -297,6 +298,29 @@ def test_cli_error_exit_codes(capsys, tmp_path):
     assert code == 1 and "numeric failure" in err
 
 
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # a bad flag first, then valid calls: each gives the bytes and exit code
+    # it gives on a parser of its own, and the parser is built once
+    calls = [
+        ["classify", "--alpha", "0", "--bogus", "1"],
+        ["classify", "--alpha", "0", "--beta", "2", "--gamma", "4"],
+        ["targets-coeffs", "--name", "student", "--nu", "5"],
+        ["stein-check", "--name", "beta", "--a", "2", "--b", "3"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run_cli(capsys, argv))
+    assert [code for code, _, _ in alone] == [2, 0, 0, 0]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run_cli(capsys, argv) for argv in calls] == alone
+    assert len(built) == 1
+    cli._parser.cache_clear()
+
+
 def test_cli_oracle_check_rejects_a_trial_count_below_one(capsys):
     for m in ("0", "-3"):
         code, out, err = run_cli(capsys, ["oracle-check", "--seed", "1", "--m", m])
@@ -383,6 +407,16 @@ def test_cli_rejects_an_input_it_would_drop(capsys, argv, named):
     assert code == 2 and named in err and not out
 
 
+@pytest.mark.parametrize("value", [True, "2", None, [2.0]])
+def test_cli_target_file_rejects_a_parameter_that_is_not_a_number(capsys, tmp_path,
+                                                                   value):
+    # never read as a number: true was gamma = 1, "2" was 2.0
+    p = tmp_path / "normal.json"
+    p.write_text(json.dumps({"name": "normal", "params": {"gamma": value}}))
+    code, out, err = run_cli(capsys, ["targets-coeffs", "--target", str(p)])
+    assert code == 2 and "'gamma'" in err and not out
+
+
 def _mc_twins(seed):
     return mc_twins(gaussian_clt_family()(2), (0.0, 0.0, 2.0), 10, seed)
 
@@ -409,6 +443,10 @@ def _family_mc(seed):
     (lambda: _family_mc(True), "seed"),
     (lambda: gamma_target(2.0, 1.0).sample_exact(10, seed=3.7), "seed"),
     (lambda: gamma_target(2.0, 1.0).sample_exact(10, seed=True), "seed"),
+    (lambda: SymmetricKernel(2, 1, {(0.7,): 1.0}), "index"),
+    (lambda: SymmetricKernel(2, 1, {(True,): 1.0}), "index"),
+    (lambda: symmetrize({(0.7, 1): 1.0}, 2, 2), "index"),
+    (lambda: symmetrize({(True,): 1.0}, 2, 1), "index"),
 ])
 def test_library_rejects_an_input_it_would_drop(call, named):
     # each is rejected, never truncated (3.7 -> 3, True -> 1) or ignored

@@ -139,15 +139,41 @@ def test_density_vanishes_outside_support_and_matches_at_endpoints(target, law):
 
 @pytest.mark.parametrize("target, law", DENSITY_CASES, ids=DENSITY_IDS)
 def test_scipy_calls_equal_the_frozen_law_bit_for_bit(target, law):
-    # the named targets call the shared scipy distribution with the frozen
-    # law's arguments instead of freezing one, which must change no bit
-    qs = np.linspace(0.0005, 0.9995, 401)
-    xs = law.ppf(qs)
-    assert np.array_equal(target.ppf(qs), law.ppf(qs))
-    assert np.array_equal(target.cdf(xs), law.cdf(xs))
+    # the named targets call scipy.special in scipy.stats' own operation
+    # order and edge conventions, which must change no bit, not even a sign
+    rng = np.random.default_rng(2)
+    l, u = target.support
     assert target.support == tuple(float(e) for e in law.support())
+    qs = np.concatenate([rng.uniform(size=400), [0.0, 1.0, -0.1, 1.1, np.nan, 0.5]])
+    xs = np.concatenate([law.ppf(rng.uniform(size=400)),
+                         [l, u, l - 1.0, u + 1.0, np.nan, -np.inf, np.inf]])
+    for mine, ref, points in ((target.ppf, law.ppf, qs), (target.cdf, law.cdf, xs)):
+        got, want = mine(points), ref(points)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for p in points[-7:].tolist():
+            got, want = mine(p), ref(p)
+            assert type(got) is type(want) and got.shape == want.shape == ()
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.signbit(got) == np.signbit(want)
     for edge in (e for e in target.support if math.isfinite(e)):
         assert target.density(edge) == float(law.pdf(edge))
+
+
+def test_named_targets_make_no_scipy_stats_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy.stats distribution method was called")
+
+    for name in ("cdf", "ppf", "pdf", "logpdf", "sf", "isf", "support", "freeze"):
+        monkeypatch.setattr(scipy.stats.rv_continuous, name, refuse)
+    for target in (normal_target(2.0), student_target(5.0), pareto_target(3.0),
+                   gamma_target(2.0, 1.0), inverse_gamma_target(3.0, 5.0),
+                   fdist_target(6.0, 10.0), uniform_centered_target(),
+                   beta_target(2.0, 3.0)):
+        xs = target.interior_grid(11)
+        assert np.all(np.diff(target.cdf(xs)) > 0.0)
+        assert np.allclose(target.ppf(target.cdf(xs)), xs, rtol=1e-8, atol=1e-10)
+        assert target.sample_exact(5, seed=1).shape == (5,)
 
 
 @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 3.0), (0.3, 2.0)])
