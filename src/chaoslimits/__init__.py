@@ -37,7 +37,6 @@ from .targets import (
     DiffusionCoefficient,
     TargetMeasure,
     beta_target,
-    coeff_from_density,
     fdist_target,
     gamma_target,
     inverse_gamma_target,

@@ -166,22 +166,30 @@ def load_target(path):
         if "density" not in doc or "support" not in doc:
             raise ValueError("target file: custom target needs 'density' and"
                              " 'support'")
-        grid = np.asarray(doc["density"], dtype=float)
+        grid = _numbers(doc["density"], "'density'")
         if grid.ndim != 2 or grid.shape[1] != 2 or grid.shape[0] < 4:
             raise ValueError("target file: 'density' must be a grid of"
                              " at least 4 (x, p) pairs")
-        lo, hi = (float(v) for v in doc["support"])
+        lo, hi = _numbers(doc["support"], "'support'")
         return target_from_density_grid(grid[:, 0], grid[:, 1], (lo, hi))
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("target file: 'params' must be an object")
-    kwargs = {}
-    for k, v in params.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"target file: parameter {k!r} must be a number,"
-                             f" got {v!r}")
-        kwargs[_PARAM_TO_KW.get(k, k)] = float(v)
+    kwargs = {_PARAM_TO_KW.get(k, k): float(_numbers(v, f"parameter {k!r}", ndim=0))
+              for k, v in params.items()}
     return named_target(name, **kwargs)
+
+
+def _numbers(value, what, ndim=None):
+    """A JSON number, or nested lists of them, as a float array; a bool,
+    string or null entry (or a shape of another ndim) raises ValueError."""
+    entries = np.asarray(value, dtype=object)
+    for v in entries.ravel():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"target file: {what} must hold numbers, got {v!r}")
+    if ndim is not None and entries.ndim != ndim:
+        raise ValueError(f"target file: {what} must be a number, got {value!r}")
+    return entries.astype(float)
 
 
 # --- sample dumps ----------------------------------------------------------------

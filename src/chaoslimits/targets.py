@@ -19,20 +19,25 @@ pair (a, b) is A h = (1/2) a h' + b h; ``stein_solution`` inverts it and
 
 Densities are closed forms: every named target evaluates its log-density
 with ``math`` on a Python float (and with numpy on an array), and a
-polynomial a(x) and the drift compute in floats on a float, so an adaptive
-``quad`` node pays for float arithmetic rather than numpy wrapping.  The
-cdf, the ppf (and so exact sampling) and the support come from
-``scipy.special`` in scipy.stats' own operation order (``_law``), equal to
-the frozen scipy law bit for bit without its generic wrapper; scipy.stats is
-the tests' reference.  A grid target evaluates its log-PCHIP piece by piece
-on a float, and every integral against it (mass, mean, cdf, a(x), Stein
-solutions) reads one Gauss-Legendre table of its pieces instead of calling
-``quad``.
+polynomial a(x) and the drift compute in floats on a float.  The cdf, the
+ppf (and so exact sampling) and the support come from ``scipy.special`` in
+scipy.stats' own operation order (``_law``), equal to the frozen scipy law
+bit for bit without its generic wrapper; scipy.stats is the tests'
+reference.  A grid target evaluates its log-PCHIP piece by piece on a float.
 
-A nearer-tail quotient (a numeric a(x), a quadrature Stein solution) takes
-one tail call per side of its pivot on an array of points: one table call
-on a grid target, and otherwise quads over the gaps between the sorted
-points, each side integrated from its own end.
+Every integral against a target (moments, the grid's mass, mean, cdf and
+a(x), Stein solutions, the Stein identity) reads one table of fixed pieces,
+built on the first integral (``_PieceTable``, ``_target_table``): a grid's
+knots, else quantile breaks from the ppf with Gauss-Legendre inside,
+Gauss-Jacobi beside a finite end where the density behaves as d^e, and a
+1/x substitution on an infinite end.  f is evaluated on arrays of nodes on
+every target, and a piece where f p needs it (f oscillating in a wide tail
+piece) is halved for that f.  Only ``validate`` calls adaptive ``quad``, as
+a check independent of the table.
+
+A nearer-tail quotient (a numeric a(x), a Stein solution) takes one tail
+call on an array of points: the cumulative sum of the point's own side of
+its pivot plus one partial piece.
 
 A polynomial f of degree k < ``moment_bound`` on a polynomial coefficient,
 assumed Pearson ((a, b) is the density's own diffusion pair, as for every
@@ -45,6 +50,8 @@ quadratic coefficient forces on the target.
 from __future__ import annotations
 
 import bisect
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,7 +73,6 @@ __all__ = [
     "beta_target",
     "named_target",
     "target_from_density_grid",
-    "coeff_from_density",
     "stein_solution",
     "stein_solution_residual",
     "stein_identity_residual",
@@ -76,18 +82,9 @@ __all__ = [
     "NAMED_TARGETS",
 ]
 
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
 _INSET_FRAC = 1e-8
 _FD_STEP = 1e-5  # finite-difference step, as a fraction of the length scale
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # five-point offsets, in steps
-
-
-def _quad(fn, lo, hi):
-    val, _ = integrate.quad(
-        fn, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400
-    )
-    return val
 
 
 @dataclass(frozen=True)
@@ -159,17 +156,19 @@ class TargetMeasure:
     moment_bound: float = math.inf
     mean: float = 0.0
     mean_shift: float = 0.0  # EX of the *uncentered* parent law, for reference
-    # a grid target's table route (``_LogPchipTable.cumulative``); None: quad
-    _cumulative: object = field(default=None, repr=False, compare=False)
+    # e at each end where p behaves as c d^e in the distance d to a finite end
+    _end_powers: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
+    # the integration table (``_PieceTable``), built on the first integral
+    _table: object = field(default=None, repr=False, compare=False)
 
-    def _tails(self, fn):
-        """(x, left) -> int_l^x fn p if left, else -int_x^u fn p: from a grid
-        target's table, or by adaptive quad of fn(y) * density(y)."""
-        return (self._cumulative or _quad_cumulative(self.density, self.support))(fn)
+    def _integrals(self):
+        if self._table is None:
+            object.__setattr__(self, "_table", _target_table(self))
+        return self._table
 
     def _integral(self, fn):
         """int fn p over the support."""
-        return self._tails(fn)(self.support[1], True)
+        return self._integrals().integral(fn)
 
     def drift(self, x):
         if type(x) is float:
@@ -201,7 +200,7 @@ class TargetMeasure:
     def length_scale(self):
         """u - l on a bounded support, else sqrt(E X^2): read off the moment
         ladder for a centered polynomial (Pearson) coefficient, otherwise
-        by quadrature."""
+        on the table."""
         l, u = self.support
         if math.isfinite(l) and math.isfinite(u):
             return u - l
@@ -212,15 +211,31 @@ class TargetMeasure:
         return math.sqrt(max(m2, 1e-12))
 
     def moment(self, k):
-        """E[X^k], by the grid's table or by quadrature."""
+        """E[X^k], on the target's table."""
         return self._integral(lambda y: y**k)
 
     def validate(self, tol=1e-8):
-        """Check normalization, centered drift and positivity of a."""
-        mass = self._integral(lambda y: 1.0)
+        """Check normalization, centered drift and positivity of a.
+
+        The mass and the drift are integrated by adaptive ``quad`` of the
+        density, not read off the table every other integral reads.  On a
+        finite support with no power at either end quad starts from the
+        table's pieces, so a grid density's knots, where it is only once
+        differentiable, are breaks.
+        """
+        l, u = self.support
+        plain = math.isfinite(l) and math.isfinite(u) and self._end_powers == (0.0, 0.0)
+        points = self._integrals().breaks[1:-1] if plain else None
+
+        def integral(fn):
+            return integrate.quad(lambda y: fn(y) * self.density(y), l, u, points=points,
+                                  epsabs=1e-10, epsrel=1e-8,
+                                  limit=400 + (0 if points is None else 2 * len(points)))[0]
+
+        mass = integral(lambda y: 1.0)
         if abs(mass - 1.0) > tol:
             raise ValueError(f"density mass {mass!r} is not 1 within {tol}")
-        bint = self._integral(self.drift)
+        bint = integral(self.drift)
         if abs(bint) > tol:
             raise ValueError(f"drift does not integrate to 0: {bint!r}")
         grid = self.interior_grid()
@@ -307,17 +322,25 @@ def _law(cdf01, ppf01, ends=(-math.inf, math.inf), loc=0.0, scale=1.0):
     return support, cdf, ppf
 
 
-def _end_density(power, at_power_zero):
-    """A density's value at an end where it behaves as c d^power in the
-    distance d to that end: inf, ``at_power_zero`` (= c) or 0."""
-    return math.inf if power < 0 else at_power_zero if power == 0 else 0.0
+def _finite(**params):
+    """The parameters as floats, each checked to be finite."""
+    out = []
+    for key, value in params.items():
+        v = float(value)
+        if not math.isfinite(v):
+            raise ValueError(f"target parameter {key} must be finite, got {v!r}")
+        out.append(v)
+    return out[0] if len(out) == 1 else out
 
 
-def _named_target(name, law, logpdf, edges, coeff, params, moment_bound=math.inf,
-                  mean_shift=0.0):
-    """Named target: closed-form density with end values ``edges``, and the
-    support, cdf and ppf of ``law`` (from ``_law``)."""
+def _named_target(name, law, logpdf, coeff, params, ends=((0.0, 0.0), (0.0, 0.0)),
+                  moment_bound=math.inf, mean_shift=0.0):
+    """Named target: closed-form density and the support, cdf and ppf of
+    ``law`` (from ``_law``).  ``ends`` holds (e, c) for each end, where the
+    density behaves as c d^e in the distance d to it: its value there is
+    inf, c or 0, and the table integrates against d^e beside it."""
     support, cdf, ppf = law
+    edges = tuple(math.inf if e < 0 else c if e == 0 else 0.0 for e, c in ends)
     return TargetMeasure(
         name=name,
         support=support,
@@ -328,19 +351,20 @@ def _named_target(name, law, logpdf, edges, coeff, params, moment_bound=math.inf
         params=dict(params),
         moment_bound=moment_bound,
         mean_shift=mean_shift,
+        _end_powers=tuple(e for e, _ in ends),
     )
 
 
 def normal_target(gamma=1.0):
     """N(0, gamma): a(x) = 2*gamma."""
-    g = float(gamma)
+    g = _finite(gamma=gamma)
     if g <= 0:
         raise ValueError("normal target needs gamma > 0")
     s = math.sqrt(g)
     c = -math.log(s) - 0.5 * math.log(2.0 * math.pi)
     return _named_target(
         "normal", _law(special.ndtr, special.ndtri, scale=s),
-        lambda x, ns: c - 0.5 * (x / s) ** 2, (0.0, 0.0),
+        lambda x, ns: c - 0.5 * (x / s) ** 2,
         DiffusionCoefficient.polynomial(0.0, 0.0, 2.0 * g),
         {"gamma": g},
     )
@@ -348,7 +372,7 @@ def normal_target(gamma=1.0):
 
 def student_target(nu):
     """Student t(nu), nu > 2: a(x) = (2/(nu-1)) (x^2 + nu)."""
-    nu = float(nu)
+    nu = _finite(nu=nu)
     if nu <= 2:
         raise ValueError("student target needs nu > 2 (finite variance)")
     al = 2.0 / (nu - 1.0)
@@ -357,7 +381,7 @@ def student_target(nu):
     return _named_target(
         "student",
         _law(lambda y: special.stdtr(nu, y), lambda q: special.stdtrit(nu, q)),
-        lambda x, ns: c - 0.5 * (nu + 1.0) * ns.log1p(x * x / nu), (0.0, 0.0),
+        lambda x, ns: c - 0.5 * (nu + 1.0) * ns.log1p(x * x / nu),
         DiffusionCoefficient.polynomial(al, 0.0, 2.0 * nu / (nu - 1.0)),
         {"nu": nu}, moment_bound=nu,
     )
@@ -365,7 +389,7 @@ def student_target(nu):
 
 def pareto_target(nu):
     """Centered Pareto: parent density nu (1+x)^(-nu-1) on (0, inf), nu > 2."""
-    nu = float(nu)
+    nu = _finite(nu=nu)
     if nu <= 2:
         raise ValueError("pareto target needs nu > 2 (finite variance)")
     m = 1.0 / (nu - 1.0)
@@ -376,15 +400,15 @@ def pareto_target(nu):
         "pareto",
         _law(lambda y: 1 - y ** (-nu), lambda q: pow(1 - q, -1.0 / nu),
              (1.0, math.inf), loc=loc),
-        lambda x, ns: log_nu - (nu + 1.0) * ns.log(x - loc), (nu, 0.0),
+        lambda x, ns: log_nu - (nu + 1.0) * ns.log(x - loc),
         DiffusionCoefficient.polynomial(c, c * (1.0 + 2.0 * m), c * m * (1.0 + m)),
-        {"nu": nu}, moment_bound=nu, mean_shift=m,
+        {"nu": nu}, ((0.0, nu), (0.0, 0.0)), moment_bound=nu, mean_shift=m,
     )
 
 
 def gamma_target(a, lam):
     """Centered Gamma(a, lam): a(x) = (2/lam) (x + a/lam)."""
-    a, lam = float(a), float(lam)
+    a, lam = _finite(a=a, lam=lam)
     if a <= 0 or lam <= 0:
         raise ValueError("gamma target needs a > 0 and lam > 0")
     m = a / lam
@@ -399,16 +423,16 @@ def gamma_target(a, lam):
         "gamma",
         _law(lambda y: special.gammainc(a, y), lambda q: special.gammaincinv(a, q),
              (0.0, math.inf), loc=-m, scale=scale),
-        logpdf, (_end_density(a - 1.0, 1.0 / scale), 0.0),
+        logpdf,
         DiffusionCoefficient.polynomial(0.0, 2.0 / lam, 2.0 * a / lam**2),
-        {"a": a, "lam": lam}, mean_shift=m,
+        {"a": a, "lam": lam}, ((a - 1.0, 1.0 / scale), (0.0, 0.0)), mean_shift=m,
     )
 
 
 def inverse_gamma_target(delta, lam):
     """Centered inverse Gamma(delta, lam), lam > 2:
     a(x) = (2/(lam-1)) (x + delta/(lam-1))^2."""
-    delta, lam = float(delta), float(lam)
+    delta, lam = _finite(delta=delta, lam=lam)
     if delta <= 0 or lam <= 2:
         raise ValueError("inverse gamma target needs delta > 0 and lam > 2")
     m = delta / (lam - 1.0)
@@ -419,12 +443,13 @@ def inverse_gamma_target(delta, lam):
         y = (x + m) / delta
         return -(lam + 1.0) * ns.log(y) - 1.0 / y + const
 
+    # exp(-1/y) beats every power of y at 0: the density is 0 there, smoothly
     return _named_target(
         "inverse_gamma",
         _law(lambda y: special.gammaincc(lam, 1.0 / y),
              lambda q: 1.0 / special.gammainccinv(lam, q),
              (0.0, math.inf), loc=-m, scale=delta),
-        logpdf, (0.0, 0.0),  # exp(-1/y) beats every power of y at 0
+        logpdf,
         DiffusionCoefficient.polynomial(c, 2.0 * c * m, c * m * m),
         {"delta": delta, "lam": lam}, moment_bound=lam, mean_shift=m,
     )
@@ -433,7 +458,7 @@ def inverse_gamma_target(delta, lam):
 def fdist_target(a, b):
     """Centered Fisher F(a, b), b > 4:
     a(x) = (4/(a(b-2))) (x + m) (b + a (x + m)),  m = b/(b-2)."""
-    a, b = float(a), float(b)
+    a, b = _finite(a=a, b=b)
     if a <= 0 or b <= 4:
         raise ValueError("f target needs a > 0 and b > 4 (finite variance)")
     m = b / (b - 2.0)
@@ -449,11 +474,12 @@ def fdist_target(a, b):
         "f",
         _law(lambda y: special.fdtr(a, b, y), lambda q: special.fdtri(a, b, q),
              (0.0, math.inf), loc=-m),
-        logpdf, (_end_density(0.5 * a - 1.0, 1.0), 0.0),
+        logpdf,
         DiffusionCoefficient.polynomial(
             k * a, k * (b + 2.0 * a * m), k * m * (b + a * m)
         ),
-        {"a": a, "b": b}, moment_bound=b / 2.0, mean_shift=m,
+        {"a": a, "b": b}, ((0.5 * a - 1.0, 1.0), (0.0, 0.0)),
+        moment_bound=b / 2.0, mean_shift=m,
     )
 
 
@@ -461,16 +487,16 @@ def uniform_centered_target():
     """Uniform on (-1/2, 1/2): a(x) = 1/4 - x^2."""
     return _named_target(
         "uniform", _law(lambda y: y, lambda q: q, (0.0, 1.0), loc=-0.5),
-        lambda x, ns: 0.0, (1.0, 1.0),
+        lambda x, ns: 0.0,
         DiffusionCoefficient.polynomial(-1.0, 0.0, 0.25), {},
-        mean_shift=0.5,
+        ((0.0, 1.0), (0.0, 1.0)), mean_shift=0.5,
     )
 
 
 def beta_target(a, b):
     """Centered Beta(a, b) on (-a/(a+b), b/(a+b)):
     a(x) = (2/(a+b)) (x + a/(a+b)) (b/(a+b) - x)."""
-    a, b = float(a), float(b)
+    a, b = _finite(a=a, b=b)
     if a <= 0 or b <= 0:
         raise ValueError("beta target needs a > 0 and b > 0")
     s = a + b
@@ -487,9 +513,9 @@ def beta_target(a, b):
         "beta",
         _law(lambda y: special.betainc(a, b, y), lambda q: special.betaincinv(a, b, q),
              (0.0, 1.0), loc=-m),
-        logpdf, (_end_density(a - 1.0, b), _end_density(b - 1.0, a)),
+        logpdf,
         DiffusionCoefficient.polynomial(-c, c * (b - a) / s, c * a * b / s**2),
-        {"a": a, "b": b}, mean_shift=m,
+        {"a": a, "b": b}, ((a - 1.0, b), (b - 1.0, a)), mean_shift=m,
     )
 
 
@@ -519,89 +545,215 @@ def named_target(name, **params):
     return ctor(**params)
 
 
-_GL_PIECE_NODES, _GL_PIECE_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_GL_PIECE_T = 0.5 * (_GL_PIECE_NODES + 1.0)  # the nodes on [0, 1]
-_GL_PIECE_W = 0.5 * _GL_PIECE_WEIGHTS
+_NODES = 20
+_GL_X, _GL_WX = np.polynomial.legendre.leggauss(_NODES)
+_GL_T, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_WX  # the rule on [0, 1]
+# Legendre coefficients 16..19 of a piece's integrand, from its weighted values
+_GL_TOP = np.polynomial.legendre.legvander(_GL_X, _NODES - 1)[:, -4:] * (
+    np.arange(_NODES - 4, _NODES) + 0.5)
+# a target's breaks as quantiles, the tail ones only beside an infinite end
+_BREAK_Q = np.array([0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+_TAIL_Q = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-4])
+# no break nearer a finite end than this part of its distance to the mean, so
+# the end piece's nodes stay apart in floats beside a singular end
+_END_PIECE = 1e-3
+_GROWTH, _GROWTH_STEPS = 8.0, 20  # breaks into an infinite end, to 8^20 widths
+# a piece is tested by halving while its top Legendre coefficients exceed
+# _RESOLVED of its int |fn p| and _FLOOR of the support's, and is halved when
+# that moves its integral by more than _SETTLE of its int |fn p|
+_RESOLVED, _SETTLE, _FLOOR, _MAX_PIECES = 1e-8, 1e-13, 1e-15, 4096
 
 
-class _LogPchipTable:
-    """Integrals of fn p for a density p = exp(log-PCHIP) / mass.
+@functools.lru_cache(maxsize=256)
+def _jacobi_rule(power):
+    """Nodes t on (0, 1) and weights W: int_0^1 t^power G dt = sum W G(t)."""
+    x, w = special.roots_jacobi(_NODES, 0.0, power)
+    return 0.5 * (x + 1.0), w * 0.5 ** (power + 1.0)
 
-    20 Gauss-Legendre nodes on each piece of the interpolant, rescaled to a
-    partial piece [x_k, x] or [x, x_{k+1}].  Inside one piece p is the
-    exponential of a cubic, so the rule is exact to rounding for smooth fn.
+
+class _PieceTable:
+    """Integrals of fn p on pieces of the support, breaks[k] to breaks[k + 1].
+
+    Each piece has one 20-node rule, rescaled to any part of it:
+    Gauss-Legendre inside; Gauss-Jacobi of weight d^e beside a finite end
+    where p behaves as c d^e in the distance d to it (``powers``), always on
+    a part reaching that end, with d^e divided out at each node's own
+    rounded distance, so nodes closer to the end than floats resolve lose no
+    digits; Gauss-Legendre in t, y = x + s (1/t - 1), on an infinite end, s
+    the neighbouring piece's width.  ``piece_density(k, y)`` is p at nodes y
+    inside piece k (of the first table, which ``_fitted`` refines);
+    ``mass=None`` divides p by its summed mass.
     """
 
-    def __init__(self, logp):
-        self.logp = logp
-        self.breaks, self.coefs = logp.x, logp.c  # PPoly order: c3, c2, c1, c0
+    def __init__(self, breaks, piece_density, powers=(0.0, 0.0), mass=1.0):
+        self.breaks = b = np.asarray(breaks, dtype=float)
+        self.piece_density = piece_density
+        count = len(b) - 1
+        self.parent = np.arange(count)  # each piece's index before any halving
+        self.t, self.w = np.tile(_GL_T, (count, 1)), np.tile(_GL_W, (count, 1))
+        self.side = np.zeros(count, dtype=int)  # -1/+1: parts reach the lower/upper end
+        self.reach, self.power = np.zeros(count), np.zeros(count)  # infinite end's s, e
+        for k, sign, power in ((0, -1, powers[0]), (count - 1, 1, powers[1])):
+            if math.isinf(b[k + (sign > 0)]):
+                self.t[k], self.w[k] = 1.0 / _GL_T - 1.0, _GL_W / _GL_T**2
+                self.reach[k] = sign * (b[2] - b[1] if sign < 0 else b[k] - b[k - 1])
+            elif power != 0.0:
+                t, self.w[k] = _jacobi_rule(power)
+                self.t[k], self.power[k] = (t if sign < 0 else 1.0 - t), power
+            else:
+                continue
+            self.side[k] = sign
         # Python lists serve one point at a time (a chain step, a Stein value)
-        self._break_list, self._piece_list = logp.x.tolist(), logp.c.T.tolist()
-        self.last = len(self.breaks) - 2
-        self.mass = 1.0  # _rule divides by it: 1 while the raw mass is summed
-        k = np.arange(self.last + 1)
-        self.nodes, self.weights = self._rule(k, self.breaks[:-1], self.breaks[1:])
-        self.mass = float(np.sum(self.weights))
-        self.weights = self.weights / self.mass
+        self.lists = [a.tolist() for a in (b, self.side, self.reach, self.power, self.parent)]
+        self.mass = 1.0 if mass is None else mass
+        self.nodes, self.weights = self._rule(
+            np.arange(count), np.where(self.side > 0, b[:-1], b[1:]), self.side <= 0)
+        if mass is None:
+            self.mass = float(np.sum(self.weights))
+            self.weights = self.weights / self.mass
 
-    def density(self, x):
-        """p(x); 0 outside the grid span."""
-        lo, hi = self._break_list[0], self._break_list[-1]
-        if isinstance(x, float):
-            if not lo <= x <= hi:
-                return math.nan if math.isnan(x) else 0.0
-            # the piece and the sum in PPoly's own order, so both paths agree
-            i = min(bisect.bisect_right(self._break_list, x) - 1, self.last)
-            c3, c2, c1, c0 = self._piece_list[i]
-            s = x - self._break_list[i]
-            s2 = s * s
-            return math.exp(c0 + c1 * s + c2 * s2 + c3 * (s2 * s)) / self.mass
-        x = np.asarray(x, dtype=float)
-        out = np.exp(self.logp(np.clip(x, lo, hi))) / self.mass
-        out = np.where((x < lo) | (x > hi), 0.0, out)
-        return out if out.ndim else float(out)
+    def _rule(self, k, x, lower):
+        """Nodes and p-weighted weights of the part of piece k below x if
+        lower, else above it (arrays of one shape)."""
+        origin = np.where(lower, self.breaks[k], x)
+        h = np.where(lower, x, self.breaks[k + 1]) - origin
+        origin = np.where(np.isinf(h), x, origin)
+        h = np.where(np.isinf(h), self.reach[k], h)
+        y = origin[..., None] + h[..., None] * self.t[k]
+        w = (np.abs(h) / self.mass)[..., None] * (
+            self.w[k] * self.piece_density(self.parent[k], y))
+        e = self.power[k][..., None]
+        if e.any():
+            end = self.breaks[k + (self.side[k] > 0)][..., None]
+            w = w * np.divide(np.abs(y - end), np.abs(h)[..., None],
+                              out=np.ones_like(y), where=e != 0.0) ** -e
+        return y, w
 
-    def _rule(self, k, a, b):
-        """Nodes and density-weighted weights of [a, b] inside piece k
-        (an int k with float ends, or arrays of one shape)."""
-        if isinstance(k, int):
-            start, (c3, c2, c1, c0) = self._break_list[k], self._piece_list[k]
-        else:
-            a, b = a[..., None], b[..., None]
-            start = self.breaks[k][..., None]
-            c3, c2, c1, c0 = self.coefs[:, k, None]
-        s = (a - start) + (b - a) * _GL_PIECE_T
-        p = np.exp(c0 + s * (c1 + s * (c2 + s * c3)))
-        return start + s, ((b - a) / self.mass) * (_GL_PIECE_W * p)
+    def _fitted(self, fn):
+        """(table, fn p at its nodes times the weights): this table with an
+        inside piece halved, worst first, while its top Legendre coefficients
+        exceed _RESOLVED of its int |fn p| and _FLOOR of the support's, and
+        halving it moves its integral by more than _SETTLE of its int |fn p|;
+        up to _MAX_PIECES pieces.  So an f that oscillates in a wide tail
+        piece is resolved there, and a smooth f costs a Legendre transform."""
+        table, values = self, fn(self.nodes) * self.weights
+        floor = _FLOOR * float(np.abs(values).sum())
+        check = np.flatnonzero(self.side == 0)
+        while len(table.side) < _MAX_PIECES:
+            v, size = values[check], np.abs(values[check]).sum(axis=-1)
+            keep = np.abs(v @ _GL_TOP).sum(axis=-1) > np.maximum(_RESOLVED * size, floor)
+            check, v, size = check[keep], v[keep], size[keep]
+            if not len(check):
+                break
+            mid = 0.5 * (table.breaks[check] + table.breaks[check + 1])
+            halves = [table._rule(check, mid, lower) for lower in (True, False)]
+            parts = [fn(y) * w for y, w in halves]
+            change = np.abs(v.sum(axis=-1) - parts[0].sum(axis=-1) - parts[1].sum(axis=-1))
+            bad = np.flatnonzero(change > np.maximum(_SETTLE * size, floor))
+            pick = np.sort(bad[np.argsort(-change[bad])[: _MAX_PIECES - len(table.side)]])
+            if not len(pick):
+                break
+            # splice the halves in place of the picked pieces; they are checked next
+            k = check[pick]
+            idx = np.repeat(np.arange(len(table.side)), 1 + np.isin(np.arange(len(table.side)), k))
+            check = k + np.arange(len(k))
+            table = table._spliced(idx, np.insert(table.breaks, k + 1, mid[pick]),
+                                   check, [(y[pick], w[pick]) for y, w in halves])
+            values = values[idx]
+            values[check], values[check + 1] = parts[0][pick], parts[1][pick]
+            check = np.sort(np.concatenate([check, check + 1]))
+        return table, values
 
-    def cumulative(self, fn):
+    def _spliced(self, idx, breaks, lo, halves):
+        """A copy with piece idx[j] at row j and the given breaks, the rows
+        lo and lo + 1 holding the (nodes, weights) of the halves."""
+        new = copy.copy(self)
+        new.breaks = breaks
+        for name in ("parent", "t", "w", "side", "reach", "power", "nodes", "weights"):
+            setattr(new, name, getattr(self, name)[idx])
+        (new.nodes[lo], new.weights[lo]), (new.nodes[lo + 1], new.weights[lo + 1]) = halves
+        new.lists = [a.tolist() for a in (breaks, new.side, new.reach, new.power, new.parent)]
+        return new
+
+    def integral(self, fn):
+        """int fn p over the support; fn is evaluated on arrays of nodes."""
+        return float(np.sum(self._fitted(fn)[1]))
+
+    def cumulative(self, fn, centred=False):
         """(x, left) -> int_lo^x fn p if left, else -int_x^hi fn p.
 
         Per-piece integrals are summed from both ends, so a tail reads the
-        cumulative sum of its own side plus one partial piece, with no
-        cancellation.  ``fn`` is evaluated on arrays of nodes; x is a float
-        or an array.
+        cumulative sum of one side plus one partial piece, with no
+        cancellation beyond an end piece's.  fn is evaluated on arrays of
+        nodes; x is a float or an array, left a bool or one per point.  With
+        ``centred`` the integrand is fn less E fn, kept as ``tail.mean``.
         """
-        pieces = (fn(self.nodes) * self.weights).sum(axis=-1)
+        table, values = self._fitted(fn)
+        mean = float(np.sum(values)) if centred else 0.0
+        pieces = (values - mean * table.weights).sum(axis=-1)
         left_sum = np.concatenate([[0.0], np.cumsum(pieces)])
         right_sum = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
-        breaks, last = self._break_list, self.last
+        breaks, sides, reach, powers, parents = table.lists
 
         def tail(x, left):
             if isinstance(x, float) or np.ndim(x) == 0:
                 x = float(x)
-                k = min(max(bisect.bisect_right(breaks, x) - 1, 0), last)
-                ends = (breaks[k], x) if left else (x, breaks[k + 1])
-            else:
-                x = np.asarray(x, dtype=float)
-                k = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, last)
-                ends = (self.breaks[k], x) if left else (x, self.breaks[k + 1])
-            y, w = self._rule(k, *ends)
-            part = (fn(y) * w).sum(axis=-1)
-            out = left_sum[k] + part if left else -(right_sum[k + 1] + part)
-            return out if np.ndim(out) else float(out)
+                k = min(max(bisect.bisect_right(breaks, x) - 1, 0), len(sides) - 1)
+                lower = left if sides[k] == 0 else sides[k] < 0
+                origin, h = (breaks[k], x - breaks[k]) if lower else (x, breaks[k + 1] - x)
+                if math.isinf(h):
+                    origin, h = x, reach[k]
+                y = origin + h * table.t[k]
+                w = (abs(h) / table.mass) * (table.w[k] * table.piece_density(parents[k], y))
+                if powers[k]:
+                    w = w * (np.abs(y - breaks[k + (sides[k] > 0)]) / abs(h)) ** -powers[k]
+                part = float(((fn(y) - mean) * w).sum())
+                if left:
+                    return float(left_sum[k] + part if lower else left_sum[k + 1] - part)
+                return float(part - right_sum[k] if lower else -(right_sum[k + 1] + part))
+            x = np.asarray(x, dtype=float)
+            k = np.clip(np.searchsorted(table.breaks, x, side="right") - 1, 0, len(sides) - 1)
+            lower = np.where(table.side[k] == 0, left, table.side[k] < 0)
+            y, w = table._rule(k, x, lower)
+            part = ((fn(y) - mean) * w).sum(axis=-1)
+            return np.where(left, np.where(lower, left_sum[k] + part, left_sum[k + 1] - part),
+                            np.where(lower, part - right_sum[k], -(right_sum[k + 1] + part)))
 
+        tail.mean = mean
         return tail
+
+
+def _target_table(target):
+    """The table of a named or hand-built target.
+
+    Breaks are quantiles from the ppf (else the interior grid), continued
+    into an infinite end by ``_far_breaks``.
+    """
+    l, u = target.support
+    if target.ppf is not None:
+        xs = np.asarray(target.ppf(np.concatenate([
+            _TAIL_Q if math.isinf(l) else [], _BREAK_Q,
+            1.0 - _TAIL_Q if math.isinf(u) else []])), dtype=float)
+    else:
+        xs = target.interior_grid(len(_BREAK_Q))
+    near = [_END_PIECE * abs(target.mean - e) if math.isfinite(e) else 0.0 for e in (l, u)]
+    xs = np.unique(xs[(xs > l + near[0]) & (xs < u - near[1])])
+    centre = xs[len(xs) // 2]
+    if math.isinf(l):
+        xs = np.concatenate([_far_breaks(target, centre, xs[0])[::-1], xs])
+    if math.isinf(u):
+        xs = np.concatenate([xs, _far_breaks(target, centre, xs[-1])])
+    return _PieceTable(np.concatenate([[l], xs, [u]]), lambda k, y: target.density(y),
+                       target._end_powers)
+
+
+def _far_breaks(target, centre, start):
+    """Breaks past ``start``, their distances to ``centre`` doubled once
+    (beside a light tail's last quantile) and then growing by the factor
+    _GROWTH, up to the first where the density underflows to 0."""
+    far = centre + (start - centre) * 2.0 * _GROWTH ** np.arange(_GROWTH_STEPS)
+    stop = np.flatnonzero(np.asarray(target.density(far)) <= 0.0)
+    return far[: stop[0] + 1] if len(stop) else far
 
 
 def target_from_density_grid(xs, ps, support=None):
@@ -610,9 +762,10 @@ def target_from_density_grid(xs, ps, support=None):
     The grid must be strictly increasing with positive densities; the support
     defaults to the grid span and, if given, must agree with it.  The density
     is renormalized; the drift is b(x) = mean - x so that (*) stays
-    consistent for uncentered grids.  The mass, the mean, the cdf, a(x), the
-    moments and the Stein solutions all integrate on one Gauss-Legendre table
-    of the log-PCHIP pieces (``_LogPchipTable``), with no adaptive quad.
+    consistent for uncentered grids.  The target's table has the knots as
+    its breaks, where the density is the exponential of a cubic, so its
+    Gauss-Legendre rule is exact to rounding for smooth fn; the mass, the
+    mean, the cdf, a(x), the moments and the Stein solutions all read it.
     """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -627,9 +780,37 @@ def target_from_density_grid(xs, ps, support=None):
         l, u = float(support[0]), float(support[1])
         if abs(l - lo) > 1e-12 * max(1.0, abs(lo)) or abs(u - hi) > 1e-12 * max(1.0, abs(hi)):
             raise ValueError("support must coincide with the density grid span")
-    table = _LogPchipTable(
-        interpolate.PchipInterpolator(xs, np.log(ps), extrapolate=False))
-    density = table.density
+    logp = interpolate.PchipInterpolator(xs, np.log(ps), extrapolate=False)
+    knots, pieces, last = xs.tolist(), logp.c.T.tolist(), len(xs) - 2
+
+    def piece_density(k, y):
+        """exp of piece k's cubic (PPoly order: c3, c2, c1, c0) at y."""
+        if isinstance(k, int):
+            start, (c3, c2, c1, c0) = knots[k], pieces[k]
+        else:
+            start, (c3, c2, c1, c0) = xs[k][..., None], logp.c[:, k, None]
+        s = y - start
+        return np.exp(c0 + s * (c1 + s * (c2 + s * c3)))
+
+    table = _PieceTable(xs, piece_density, mass=None)
+    mass = table.mass
+
+    def density(x):
+        """p(x); 0 outside the grid span."""
+        if isinstance(x, float):
+            if not lo <= x <= hi:
+                return math.nan if math.isnan(x) else 0.0
+            # the piece and the sum in PPoly's own order, so both paths agree
+            i = min(bisect.bisect_right(knots, x) - 1, last)
+            c3, c2, c1, c0 = pieces[i]
+            s = x - knots[i]
+            s2 = s * s
+            return math.exp(c0 + c1 * s + c2 * s2 + c3 * (s2 * s)) / mass
+        x = np.asarray(x, dtype=float)
+        out = np.exp(logp(np.clip(x, lo, hi))) / mass
+        out = np.where((x < lo) | (x > hi), 0.0, out)
+        return out if out.ndim else float(out)
+
     mass_below = table.cumulative(lambda y: 1.0)
 
     def cdf(x):
@@ -639,10 +820,10 @@ def target_from_density_grid(xs, ps, support=None):
         return out if out.ndim else float(out)
 
     # a monotone inverse of the exact cdf on a refined knot set, Newton-polished
-    knots = np.unique(np.concatenate([xs, np.linspace(lo, hi, 257)]))
-    cums = np.maximum.accumulate(cdf(knots))
+    grid = np.unique(np.concatenate([xs, np.linspace(lo, hi, 257)]))
+    cums = np.maximum.accumulate(cdf(grid))
     keep = np.concatenate([[True], np.diff(cums) > 1e-15])
-    ppf_interp = interpolate.PchipInterpolator(cums[keep], knots[keep],
+    ppf_interp = interpolate.PchipInterpolator(cums[keep], grid[keep],
                                                extrapolate=False)
 
     def ppf(q):
@@ -656,15 +837,15 @@ def target_from_density_grid(xs, ps, support=None):
             x, err = np.where(better, step, x), np.where(better, step_err, err)
         return x if x.ndim else float(x)
 
-    mean = table.cumulative(lambda y: y)(hi, True)
+    mean = table.integral(lambda y: y)
     median = ppf(0.5)
     coeff = DiffusionCoefficient.numeric(_tail_quotient(
-        lambda y: mean - y, table.cumulative, density, (lo, hi),
+        table.cumulative(lambda y: mean - y), density, (lo, hi),
         lambda x: x <= median))
     return TargetMeasure(
         name="custom", support=(lo, hi), density=density, coeff=coeff, cdf=cdf,
         ppf=ppf, params={"grid_points": len(xs)}, mean=mean, mean_shift=mean,
-        _cumulative=table.cumulative,
+        _table=table,
     )
 
 
@@ -681,62 +862,21 @@ def _inset_bounds(support):
             u - eps(u) if math.isfinite(u) else np.inf)
 
 
-def _quad_cumulative(density, support):
-    """fn -> ((x, left) -> int_l^x fn p if left, else -int_x^u fn p), by
-    adaptive quad of fn(y) * density(y).
-
-    A scalar x is one quad from its end.  An array is sorted and integrated
-    gap by gap from that end, so a cluster of points pays for one long
-    integral plus short gaps; a repeated point reuses its value.  A gap
-    starts afresh from the support's end when the previous point lies
-    closer to that end than the gap is long: a density singular at the end
-    is then nearly singular just past the gap, where quad's extrapolation
-    misjudges it (3e-5 off on Beta(1/2, 1/2) beside the inset end).
-    """
-    l, u = support
-
-    def cumulative(fn):
-        weight = lambda y: fn(y) * density(y)
-
-        def tail(x, left):
-            if np.ndim(x) == 0:
-                return _quad(weight, l, x) if left else -_quad(weight, x, u)
-            x = np.asarray(x, dtype=float)
-            flat = x.ravel()
-            order = np.argsort(flat, kind="stable")
-            out = np.empty_like(flat)
-            edge = l if left else u
-            total, end = 0.0, edge
-            for i in (order if left else order[::-1]).tolist():
-                y = float(flat[i])
-                if abs(end - edge) < abs(y - end):
-                    total, end = 0.0, edge
-                if y != end:
-                    total += _quad(weight, end, y) if left else _quad(weight, y, end)
-                    end = y
-                out[i] = total
-            return (out if left else -out).reshape(x.shape)
-
-        return tail
-
-    return cumulative
-
-
-def _tail_quotient(fn, cumulative, den, support, left):
+def _tail_quotient(tail, den, support, left):
     """x -> 2 int_l^x fn p / den(x), with x clamped to the inset support.
 
-    ``cumulative(fn)`` gives the signed tail integrals of fn against the
-    density (``_quad_cumulative`` or a grid's table).  fn p integrates to 0
-    over the support, so the partial integral is taken from the nearer tail
+    ``tail`` gives the signed tail integrals of fn against the density (a
+    table's ``cumulative(fn)``).  fn p integrates to 0 over
+    the support, so the partial integral is taken from the nearer tail
     (``left(x)`` picks the lower one), which keeps the quotient conditioned
     far into either tail.  A scalar x takes one tail call; an array takes
-    one ``den`` call and one tail call per side.  ``quotient.sided(x,
+    one ``den`` call and one tail call.  ``quotient.sided(x,
     centres)`` takes each point's side from its centre instead (``centres``
-    broadcasts against x), so a difference stencil stays on one tail.
+    broadcasts against x), so a difference stencil stays on one tail; an
+    array takes one tail call for both sides.
     """
     l, u = float(support[0]), float(support[1])
     lo, hi = _inset_bounds((l, u))
-    tail = cumulative(fn)
 
     def one(x):
         x = min(max(float(x), lo), hi)
@@ -757,36 +897,13 @@ def _tail_quotient(fn, cumulative, den, support, left):
                              f" at x={float(flat[i])!r}")
         sides = np.broadcast_to(
             left(np.clip(np.asarray(centres, dtype=float), lo, hi)), x.shape).ravel()
-        num = np.empty_like(flat)
-        for side in (True, False):
-            pick = sides == side
-            if pick.any():
-                num[pick] = tail(flat[pick], side)
-        return (2.0 * num / d).reshape(x.shape)
+        return (2.0 * tail(flat, sides) / d).reshape(x.shape)
 
     def quotient(x):
         return one(x) if np.ndim(x) == 0 else sided(x, x)
 
     quotient.sided = sided
     return quotient
-
-
-def coeff_from_density(density, support, mean=0.0, cdf=None):
-    """Numeric diffusion coefficient from (*): a(x) = 2 int_l^x b p / p(x).
-
-    The drift is b(x) = mean - x.  The tail is chosen by ``cdf(x) <= 0.5``,
-    or, without a cdf, by ``x <= mean``.  A scalar x is one adaptive quad;
-    an array of points is integrated gap by gap from each side's end, and
-    ``density`` and ``cdf`` are then called on arrays, so they must accept
-    them.
-    """
-    l, u = float(support[0]), float(support[1])
-    if cdf is None:
-        left = lambda x: x <= mean
-    else:
-        left = lambda x: cdf(x) <= 0.5
-    return DiffusionCoefficient.numeric(_tail_quotient(
-        lambda y: mean - y, _quad_cumulative(density, (l, u)), density, (l, u), left))
 
 
 def _pivot(target):
@@ -805,19 +922,18 @@ def stein_solution(target, f):
     g(x) = 2 (int_l^x (f - m_f) p) / (a(x) p(x)), evaluated from the nearer
     tail: the lower one up to the median (the mean without a ppf), and
     vanishing appropriately at both endpoints; ValueError where a(x) p(x)
-    is not positive.  On a grid target f is evaluated on arrays of table
-    nodes, so it must accept arrays.  E[f] is ``g.mean_value``.
+    is not positive.  f is evaluated on arrays of table nodes, so it must
+    accept arrays.  E[f] is ``g.mean_value``.
     """
     if (isinstance(f, np.polynomial.Polynomial) and target.coeff.kind == "polynomial"
             and target.has_moment(f.degree())):
         return _pearson_solution(target, f)
     density = target.density
-    m_f = target._integral(f)
+    tail = target._integrals().cumulative(f, centred=True)
     pivot = _pivot(target)
-    g = _tail_quotient(lambda y: f(y) - m_f, target._tails,
-                       lambda x: target.coeff(x) * density(x),
+    g = _tail_quotient(tail, lambda x: target.coeff(x) * density(x),
                        target.support, lambda x: x <= pivot)
-    g.mean_value = m_f
+    g.mean_value = tail.mean
     return g
 
 
@@ -889,8 +1005,8 @@ def stein_solution_residual(target, f, xs):
 
 
 def stein_identity_residual(target, h, dh=None):
-    """E[(1/2) a(X) h'(X) + b(X) h(X)] under the target, by quadrature
-    (on a grid target's table, with h and dh evaluated on node arrays).
+    """E[(1/2) a(X) h'(X) + b(X) h(X)] under the target, on its table, with
+    h and dh evaluated on node arrays.
 
     Zero (to quadrature accuracy) for every admissible h exactly when the
     target is the invariant law of the (a, b) diffusion.  ``dh`` defaults to

@@ -401,6 +401,12 @@ GRID_FILE = str(Path(__file__).parent / "data" / "normal_grid97.json")
     # --k on a family that has no size
     (["diagnose", "--family", "gaussian_clt", "--k", "5", "--m", "2",
       "--name", "normal", "--gamma", "1"], "'k'"),
+    # a non-finite target parameter, which no "<= 0" guard catches
+    (["simulate", "--name", "normal", "--gamma", "inf", "--seed", "1"],
+     "parameter gamma must be finite"),
+    (["stein-check", "--name", "gamma", "--a", "nan", "--lambda", "1"],
+     "parameter a must be finite"),
+    (["targets-coeffs", "--name", "student", "--nu", "inf"], "parameter nu must be finite"),
 ])
 def test_cli_rejects_an_input_it_would_drop(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
@@ -415,6 +421,29 @@ def test_cli_target_file_rejects_a_parameter_that_is_not_a_number(capsys, tmp_pa
     p.write_text(json.dumps({"name": "normal", "params": {"gamma": value}}))
     code, out, err = run_cli(capsys, ["targets-coeffs", "--target", str(p)])
     assert code == 2 and "'gamma'" in err and not out
+
+
+def _grid_file_with(tmp_path, field, value):
+    doc = json.loads(Path(GRID_FILE).read_text())
+    if field == "support":
+        doc["support"] = value
+    else:
+        doc["density"][10][1] = value
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("support", ["-6", "6"]), ("support", [True, 6.0]), ("support", [-6.0, None]),
+    ("density", "0.1"), ("density", False), ("density", None),
+])
+def test_cli_grid_file_rejects_an_entry_that_is_not_a_number(capsys, tmp_path, field,
+                                                             value):
+    # each entry must be a JSON number, not one that float() would accept
+    path = _grid_file_with(tmp_path, field, value)
+    code, out, err = run_cli(capsys, ["stein-check", "--target", path])
+    assert code == 2 and f"'{field}'" in err and not out
 
 
 def _mc_twins(seed):
