@@ -5,7 +5,7 @@ A small numpy/scipy toolkit in three layers:
 - ``chaos``: sparse symmetric kernels over R^d, multiple integrals, the
   product formula, Malliavin inner products and an exact Wick moment oracle;
 - ``targets``: diffusion invariant measures on an interval, their second-order
-  Stein coefficients, Stein equation solutions and moment recursions;
+  Stein coefficients, Stein equation solutions and the moment ladder;
 - ``diagnostics`` / ``simulate``: fourth-moment style diagnostics deciding
   which target laws a chaos sequence can approach, and an Euler--Maruyama
   sampler with distribution distances to check targets empirically.
@@ -40,7 +40,6 @@ from .targets import (
     fdist_target,
     gamma_target,
     inverse_gamma_target,
-    moment_recursion,
     normal_target,
     pareto_target,
     moment_table,
@@ -87,9 +86,7 @@ from .simulate import (
 )
 from .io import (
     dumps_struct,
-    load_kernel,
     load_target,
-    save_kernel,
     save_samples,
 )
 

@@ -153,17 +153,6 @@ class SymmetricKernel:
         return SymmetricKernel(dim, order, {})
 
     @staticmethod
-    def basis(dim, idx):
-        """The symmetric tensor equal to 1 at every rearrangement of idx.
-
-        Equals mult(idx) * sym(e_{i_1} x ... x e_{i_n}); for the orbit-averaged
-        tensor sym(...) itself use ``symmetrize({tuple(idx): 1.0}, dim, n)``.
-        The two coincide exactly when all letters of idx are equal (orbit
-        size 1), e.g. e_i^{tensor n}.
-        """
-        return SymmetricKernel(dim, len(idx), {tuple(sorted(idx)): 1.0})
-
-    @staticmethod
     def constant(dim, value):
         """Order-0 kernel holding a scalar."""
         return SymmetricKernel(dim, 0, {(): float(value)})
@@ -391,11 +380,6 @@ class ChaosVector:
 
     def __mul__(self, c):
         return self.__rmul__(c)
-
-    def variance(self):
-        return sum(
-            k.scaled_norm_sq() for n, k in self.components.items() if n >= 1
-        )
 
 
 def eval_multiple_integral(f, x):

@@ -1,16 +1,13 @@
 """File formats and report serialization.
 
-Kernel files are a single structured-text object
-``{"dim": d, "order": n, "entries": [{"idx": [i1 <= ... <= in], "val": v}]}``
-with one entry per orbit representative; unsorted or out-of-range indices are
-rejected on load.  Target files are ``{"name": ..., "params": {...}}`` for the
-named measures (the file key for a rate parameter is ``"lambda"``) or
+Target files are ``{"name": ..., "params": {...}}`` for the named measures
+(the file key for a rate parameter is ``"lambda"``) or
 ``{"name": "custom", "density": [[x, p], ...], "support": [l, u]}`` for a grid
-density, interpolated monotonically in log-space.
+density, interpolated monotonically in log-space.  Sample dumps hold one
+float per line after ``# key: value`` header comments.
 
-All numeric output is rendered at 17 significant digits, so canonical files
-round-trip byte-identically and seeded reports are reproducible
-byte-for-byte.
+All numeric output is rendered at 17 significant digits, so every float
+round-trips exactly and seeded reports are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -20,18 +17,12 @@ import math
 
 import numpy as np
 
-from .chaos import SymmetricKernel
-from .targets import NAMED_TARGETS, named_target, target_from_density_grid
+from .targets import named_target, target_from_density_grid
 
 __all__ = [
     "dumps_struct",
     "format_float",
     "file_param_name",
-    "load_samples",
-    "save_kernel",
-    "load_kernel",
-    "kernel_to_dict",
-    "save_target",
     "load_target",
     "save_samples",
     "SCHEMA_VERSION",
@@ -90,69 +81,12 @@ def dumps_struct(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-# --- kernels -------------------------------------------------------------------
-
-def kernel_to_dict(kernel):
-    """Canonical dict form: entries sorted by multi-index."""
-    return {
-        "dim": kernel.dim,
-        "order": kernel.order,
-        "entries": [
-            {"idx": list(idx), "val": val}
-            for idx, val in sorted(kernel.entries.items())
-        ],
-    }
-
-
-def save_kernel(kernel, path):
-    """Write the canonical kernel file; load(save(k)) is byte-identical."""
-    with open(path, "w") as fh:
-        fh.write(dumps_struct(kernel_to_dict(kernel)) + "\n")
-
-
-def load_kernel(path):
-    """Read and validate a kernel file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    for key in ("dim", "order", "entries"):
-        if key not in doc:
-            raise ValueError(f"kernel file: missing field '{key}'")
-    dim, order = doc["dim"], doc["order"]
-    if not (isinstance(dim, int) and dim >= 1):
-        raise ValueError(f"kernel file: dim must be a positive integer, got {dim!r}")
-    if not (isinstance(order, int) and order >= 0):
-        raise ValueError(f"kernel file: order must be a nonnegative integer,"
-                         f" got {order!r}")
-    entries = {}
-    for pos, e in enumerate(doc["entries"]):
-        if not isinstance(e, dict) or "idx" not in e or "val" not in e:
-            raise ValueError(f"kernel file: entry {pos} needs 'idx' and 'val'")
-        idx = tuple(e["idx"])
-        if any(not isinstance(i, int) for i in idx):
-            raise ValueError(f"kernel file: entry {pos} idx must be integers")
-        if idx in entries:
-            raise ValueError(f"kernel file: duplicate idx {list(idx)}")
-        entries[idx] = float(e["val"])
-    try:  # the constructor checks each idx's length, sorting and range
-        return SymmetricKernel(dim, order, entries)
-    except ValueError as exc:
-        raise ValueError(f"kernel file: {exc}") from None
-
-
 # --- targets -------------------------------------------------------------------
 
 def target_to_dict(target):
     """{"name", "params"} with file-spelled parameter keys, as reports show it."""
     return {"name": target.name,
             "params": {file_param_name(k): v for k, v in target.params.items()}}
-
-
-def save_target(target, path):
-    """Write a named target's file (custom grid targets are not re-dumpable)."""
-    if target.name not in NAMED_TARGETS:
-        raise ValueError(f"target {target.name!r} has no canonical file form")
-    with open(path, "w") as fh:
-        fh.write(dumps_struct(target_to_dict(target)) + "\n")
 
 
 def load_target(path):
@@ -205,19 +139,3 @@ def save_samples(empirical, path):
         for v in empirical.values:
             fh.write(format_float(v) + "\n")
 
-
-def load_samples(path):
-    """Read a sample dump back: (values array, header dict)."""
-    header = {}
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                header[key.strip()] = val.strip()
-            else:
-                values.append(float(line))
-    return np.asarray(values), header

@@ -90,9 +90,6 @@ class EmpiricalDistribution:
     def var(self):
         return float(self.values.var(ddof=1))
 
-    def quantile(self, q):
-        return float(np.quantile(self.values, q))
-
 
 def simulate(target, cfg):
     """Run one Euler-Maruyama chain and return the thinned post-burn-in draws.

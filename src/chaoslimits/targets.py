@@ -43,8 +43,8 @@ A polynomial f of degree k < ``moment_bound`` on a polynomial coefficient,
 assumed Pearson ((a, b) is the density's own diffusion pair, as for every
 named target), gets a polynomial Stein solution with no integral.
 
-``poly_moments`` / ``moment_recursion`` give the closed moment ladder that a
-quadratic coefficient forces on the target.
+``moment_table`` gives the moment ladder that a quadratic coefficient forces
+on a centered target; ``poly_moments`` reads its second to fourth rungs.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import bisect
 import copy
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,12 +78,12 @@ __all__ = [
     "stein_solution_residual",
     "stein_identity_residual",
     "poly_moments",
-    "moment_recursion",
     "moment_table",
     "NAMED_TARGETS",
 ]
 
 _INSET_FRAC = 1e-8
+_VALIDATE_TOL = 1e-8  # validate's bound on |mass - 1| and |int b p|
 _FD_STEP = 1e-5  # finite-difference step, as a fraction of the length scale
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # five-point offsets, in steps
 
@@ -187,7 +188,9 @@ class TargetMeasure:
         """
         qs = np.linspace(0.005, 0.995, n)
         if self.ppf is not None:
-            return np.asarray(self.ppf(qs), dtype=float)
+            # a quantile of a law massed at a singular end can round to the end
+            lo, hi = _inset_bounds(self.support)
+            return np.clip(np.asarray(self.ppf(qs), dtype=float), lo, hi)
         l, u = self.support
         if math.isfinite(l) != math.isfinite(u):
             reach = 5.0 * max(1.0, abs(self.mean - (l if math.isfinite(l) else u)))
@@ -214,8 +217,9 @@ class TargetMeasure:
         """E[X^k], on the target's table."""
         return self._integral(lambda y: y**k)
 
-    def validate(self, tol=1e-8):
-        """Check normalization, centered drift and positivity of a.
+    def validate(self):
+        """Check normalization and centered drift to _VALIDATE_TOL, and
+        positivity of a on the interior grid.
 
         The mass and the drift are integrated by adaptive ``quad`` of the
         density, not read off the table every other integral reads.  On a
@@ -233,10 +237,10 @@ class TargetMeasure:
                                   limit=400 + (0 if points is None else 2 * len(points)))[0]
 
         mass = integral(lambda y: 1.0)
-        if abs(mass - 1.0) > tol:
-            raise ValueError(f"density mass {mass!r} is not 1 within {tol}")
+        if abs(mass - 1.0) > _VALIDATE_TOL:
+            raise ValueError(f"density mass {mass!r} is not 1 within {_VALIDATE_TOL}")
         bint = integral(self.drift)
-        if abs(bint) > tol:
+        if abs(bint) > _VALIDATE_TOL:
             raise ValueError(f"drift does not integrate to 0: {bint!r}")
         grid = self.interior_grid()
         avals = self.coeff(grid)
@@ -635,9 +639,15 @@ class _PieceTable:
         exceed _RESOLVED of its int |fn p| and _FLOOR of the support's, and
         halving it moves its integral by more than _SETTLE of its int |fn p|;
         up to _MAX_PIECES pieces.  So an f that oscillates in a wide tail
-        piece is resolved there, and a smooth f costs a Legendre transform."""
+        piece is resolved there, and a smooth f costs a Legendre transform.
+
+        When the cap leaves pieces unsplit whose summed change exceeds
+        _RESOLVED of the support's int |fn p|, an ``IntegrationWarning``
+        names that left-over: it detects an unresolved f, but it is not a
+        bound on the integral's error."""
         table, values = self, fn(self.nodes) * self.weights
-        floor = _FLOOR * float(np.abs(values).sum())
+        total = float(np.abs(values).sum())
+        floor, left_over = _FLOOR * total, 0.0
         check = np.flatnonzero(self.side == 0)
         while len(table.side) < _MAX_PIECES:
             v, size = values[check], np.abs(values[check]).sum(axis=-1)
@@ -650,7 +660,9 @@ class _PieceTable:
             parts = [fn(y) * w for y, w in halves]
             change = np.abs(v.sum(axis=-1) - parts[0].sum(axis=-1) - parts[1].sum(axis=-1))
             bad = np.flatnonzero(change > np.maximum(_SETTLE * size, floor))
-            pick = np.sort(bad[np.argsort(-change[bad])[: _MAX_PIECES - len(table.side)]])
+            order = np.argsort(-change[bad])
+            pick = np.sort(bad[order[: _MAX_PIECES - len(table.side)]])
+            left_over = float(change[bad[order[len(pick):]]].sum())
             if not len(pick):
                 break
             # splice the halves in place of the picked pieces; they are checked next
@@ -662,6 +674,10 @@ class _PieceTable:
             values = values[idx]
             values[check], values[check + 1] = parts[0][pick], parts[1][pick]
             check = np.sort(np.concatenate([check, check + 1]))
+        if left_over > _RESOLVED * total:
+            warnings.warn(f"the table reached its cap of {_MAX_PIECES} pieces with"
+                          f" {left_over:.3g} of int |fn p| = {total:.3g} in pieces it"
+                          " could not halve", integrate.IntegrationWarning, stacklevel=3)
         return table, values
 
     def _spliced(self, idx, breaks, lo, halves):
@@ -1018,50 +1034,24 @@ def stein_identity_residual(target, h, dh=None):
 # --- moments forced by a quadratic coefficient ------------------------------
 
 def poly_moments(alpha, beta, gamma):
-    """(EX^2, EX^3, EX^4) forced by a(x) = alpha x^2 + beta x + gamma.
-
-    EX^2 = gamma / (2 - alpha)                                (alpha != 2)
-    EX^3 = beta gamma / ((1 - alpha)(2 - alpha))              (alpha != 1, 2)
-    EX^4 = 3 gamma (beta^2/(1-alpha) + gamma) / ((2-alpha)(2-3alpha))
-                                                              (alpha != 1, 2, 2/3)
-    """
-    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
-    if alpha == 2.0:
-        raise ValueError("alpha = 2: the second-moment formula breaks")
-    m2 = gamma / (2.0 - alpha)
-    if alpha == 1.0:
-        raise ValueError("alpha = 1: the third-moment formula breaks")
-    m3 = beta * gamma / ((1.0 - alpha) * (2.0 - alpha))
-    if alpha == 2.0 / 3.0:
-        raise ValueError("alpha = 2/3: the fourth-moment formula breaks")
-    m4 = 3.0 * gamma * (beta**2 / (1.0 - alpha) + gamma) / (
-        (2.0 - alpha) * (2.0 - 3.0 * alpha)
-    )
-    return (m2, m3, m4)
-
-
-def moment_recursion(alpha, beta, gamma, moments):
-    """Next moment from the ladder the Stein identity forces:
-
-        (1 - (r-1) alpha / 2) EX^r = ((r-1)/2) (beta EX^{r-1} + gamma EX^{r-2}).
-
-    ``moments`` is [EX^0, EX^1, ..., EX^{r-1}]; returns EX^r.
-    """
-    r = len(moments)
-    if r < 2:
-        raise ValueError("need moments up to order r-2 >= 0, i.e. at least [1, EX]")
-    lead = 1.0 - (r - 1) * alpha / 2.0
-    if lead == 0.0:
-        raise ValueError(
-            f"alpha = 2/{r - 1}: the recursion breaks at order {r} "
-            "(the leading coefficient vanishes)"
-        )
-    return (r - 1) / 2.0 * (beta * moments[-1] + gamma * moments[-2]) / lead
+    """(EX^2, EX^3, EX^4) forced by a(x) = alpha x^2 + beta x + gamma, read
+    off ``moment_table``; ValueError at alpha = 2, 1 and 2/3."""
+    return tuple(moment_table(alpha, beta, gamma, 4)[2:])
 
 
 def moment_table(alpha, beta, gamma, max_order):
-    """[EX^0 .. EX^max_order] for a centered target with quadratic coefficient."""
+    """[EX^0 .. EX^max_order] for a centered target with quadratic coefficient,
+    from the ladder the Stein identity forces:
+
+        (1 - (r-1) alpha / 2) EX^r = ((r-1)/2) (beta EX^{r-1} + gamma EX^{r-2}).
+
+    ValueError at alpha = 2/(r-1), where the leading coefficient vanishes.
+    """
     moments = [1.0, 0.0]
-    while len(moments) <= max_order:
-        moments.append(moment_recursion(alpha, beta, gamma, moments))
+    for r in range(2, max_order + 1):
+        lead = 1.0 - (r - 1) * alpha / 2.0
+        if lead == 0.0:
+            raise ValueError(f"alpha = 2/{r - 1}: the moment ladder breaks at order {r}"
+                             " (the leading coefficient vanishes)")
+        moments.append((r - 1) / 2.0 * (beta * moments[-1] + gamma * moments[-2]) / lead)
     return moments[: max_order + 1]

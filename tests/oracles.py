@@ -184,6 +184,23 @@ def naive_em(target, cfg):
     return np.array(kept)
 
 
+def load_samples(path):
+    """Read a sample dump of ``save_samples`` back: (values array, header dict)."""
+    header = {}
+    values = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, val = line[1:].partition(":")
+                header[key.strip()] = val.strip()
+            else:
+                values.append(float(line))
+    return np.asarray(values), header
+
+
 def _quad_between_knots(fn, lo, hi, knots):
     """int_lo^hi fn by adaptive quad at the package's tolerances, broken at
     the grid knots inside (lo, hi) so that each piece is smooth."""

@@ -16,19 +16,18 @@ from chaoslimits import (
     gamma_target,
     gaussian_clt_family,
     iter_gaussian_chunks,
-    load_kernel,
     load_target,
     mc_twins,
     normal_target,
     run_family_diagnostics,
     sample_gaussian,
-    save_kernel,
     save_samples,
     simulate,
     SimConfig,
     symmetrize,
 )
-from chaoslimits.io import format_float, load_samples, save_target
+from chaoslimits.io import format_float
+from oracles import load_samples
 from test_golden_cli import TARGET_PARAMS
 
 
@@ -62,35 +61,6 @@ def test_dumps_struct_deterministic():
     assert dumps_struct(obj) == dumps_struct(obj)
 
 
-# --- kernel files ---------------------------------------------------------------------------
-
-def test_kernel_file_round_trip_byte_identical(tmp_path):
-    f = SymmetricKernel(3, 2, {(0, 1): 1 / 3, (2, 2): -0.125})
-    p1, p2 = tmp_path / "k1.json", tmp_path / "k2.json"
-    save_kernel(f, p1)
-    g = load_kernel(p1)
-    assert g.dim == f.dim and g.order == f.order and g.entries == f.entries
-    save_kernel(g, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_kernel_file_rejections(tmp_path):
-    def attempt(doc):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            load_kernel(p)
-
-    base = {"dim": 3, "order": 2}
-    attempt({**base, "entries": [{"idx": [2, 1], "val": 1.0}]})     # unsorted
-    attempt({**base, "entries": [{"idx": [0, 3], "val": 1.0}]})     # out of range
-    attempt({**base, "entries": [{"idx": [0, 1], "val": 1.0},
-                                 {"idx": [0, 1], "val": 2.0}]})     # duplicate
-    attempt({**base, "entries": [{"idx": [0], "val": 1.0}]})        # wrong length
-    attempt({"dim": 3, "entries": []})                              # missing order
-    attempt({**base, "entries": [{"idx": [0, 1]}]})                 # missing val
-
-
 # --- target files -----------------------------------------------------------------------------
 
 def test_target_file_lambda_spelling(tmp_path):
@@ -99,16 +69,6 @@ def test_target_file_lambda_spelling(tmp_path):
         {"name": "gamma", "params": {"a": 2.0, "lambda": 1.0}}))
     t = load_target(p)
     assert t.coeff.as_tuple() == (0.0, 2.0, 4.0)
-
-
-def test_target_file_round_trip(tmp_path):
-    t = gamma_target(2.0, 1.0)
-    p = tmp_path / "t.json"
-    save_target(t, p)
-    doc = json.loads(p.read_text())
-    assert doc["params"] == {"a": 2.0, "lambda": 1.0}  # file spelling
-    t2 = load_target(p)
-    assert t2.coeff.as_tuple() == t.coeff.as_tuple()
 
 
 def test_target_file_custom_grid(tmp_path):
@@ -252,6 +212,15 @@ def test_cli_stein_check_inverse_gamma_near_its_moment_bound(capsys):
                                     "--a", "3", "--lambda", "2.5"])
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_cli_stein_check_beta_with_singular_ends(capsys):
+    # ppf(0.005) of Beta(0.1, 0.1) rounds to the lower end, where a(x) = 0;
+    # validate rejected the law there before the grid was kept inside the support
+    code, out, _ = run_cli(capsys, ["stein-check", "--name", "beta",
+                                    "--a", "0.1", "--b", "0.1"])
+    assert code == 0
+    assert max(json.loads(out)["max_abs_residual"].values()) <= 1e-15
 
 
 def test_cli_stein_check_grid_target_file(capsys):

@@ -58,7 +58,6 @@ def test_empirical_distribution_sorts_and_counts():
     e = EmpiricalDistribution(np.array([3.0, 1.0, 2.0]))
     assert np.array_equal(e.values, [1.0, 2.0, 3.0])
     assert e.count == 3
-    assert e.quantile(0.5) == 2.0
     with pytest.raises(ValueError):
         EmpiricalDistribution(np.array([1.0]))
     # the count is read off the values, never given

@@ -18,7 +18,6 @@ from chaoslimits import (
     fdist_target,
     gamma_target,
     inverse_gamma_target,
-    moment_recursion,
     moment_table,
     named_target,
     normal_target,
@@ -78,7 +77,22 @@ def test_coefficient_matches_defining_integral(target):
 @pytest.mark.parametrize("target", ALL_TARGETS,
                          ids=lambda t: f"{t.name}{t.params}")
 def test_named_targets_validate(target):
-    target.validate(tol=1e-7)
+    target.validate()
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 0.1), (0.05, 2.0)])
+def test_beta_with_singular_ends_validates(a, b):
+    # a quantile of a law massed at a singular end can round to the end,
+    # where a(x) = 0
+    t = beta_target(a, b)
+    l, u = t.support
+    xs = t.interior_grid()
+    assert np.all((l < xs) & (xs < u))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        assert t.validate()
+    res = stein_solution_residual(t, Polynomial([0, 0, 1]), t.interior_grid(200))
+    assert float(np.max(np.abs(res))) <= 1e-15
 
 
 # --- closed-form densities against scipy -----------------------------------------------
@@ -294,22 +308,54 @@ def test_moment_table_uniform():
     assert math.isclose(table[6], 1.0 / 448.0, rel_tol=1e-13)
 
 
-def test_moment_recursion_single_step():
-    # (1 - (r-1) alpha / 2) EX^r = ((r-1)/2)(beta EX^{r-1} + gamma EX^{r-2})
-    al, be, ga = gamma_target(2.0, 1.0).coeff.as_tuple()
-    t = gamma_target(2.0, 1.0)
-    moments = [1.0, 0.0]
-    for r in range(2, 7):
-        moments.append(moment_recursion(al, be, ga, moments))
-        assert math.isclose(moments[-1], t.moment(r), rel_tol=1e-6, abs_tol=1e-8)
+# the parent implementation's ladder, which ``moment_table`` must keep bit for bit
+# (the benchmark's moment answers and ``length_scale`` read it)
+MOMENT_LADDERS = [
+    (normal_target(1.0), [1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0]),
+    (normal_target(1.5), [1.0, 0.0, 1.5, 0.0, 6.75, 0.0, 50.625, 0.0, 531.5625]),
+    (student_target(11.0), [1.0, 0.0, 1.2222222222222223, 0.0, 5.761904761904762, 0.0,
+                            63.38095238095239, 0.0, 1626.7777777777785]),
+    (pareto_target(9.0), [1.0, 0.0, 0.020089285714285716, 0.008370535714285714,
+                          0.007972935267857143, 0.011143275669642856, 0.0250838143484933,
+                          0.09876537322998044, 0.888888895511627]),
+    (gamma_target(2.0, 1.0), [1.0, 0.0, 2.0, 4.0, 24.0, 128.0, 880.0, 6816.0, 60032.0]),
+    (gamma_target(0.7, 2.3), [1.0, 0.0, 0.13232514177693763, 0.11506534067559795,
+                              0.2026150564070312, 0.41327816121670347, 1.0324861155797163,
+                              3.0215645883006124, 10.15243323969385]),
+    (inverse_gamma_target(3.0, 10.0), [1.0, 0.0, 0.013888888888888888, 0.002645502645502645,
+                                       0.001653439153439153, 0.0011169900058788944,
+                                       0.0011604693317656277, 0.0017955124436605909,
+                                       0.004640822664228009]),
+    (fdist_target(6.0, 20.0), [1.0, 0.0, 0.617283950617284, 0.9798157946306095,
+                               4.245868443399307, 22.741403628463523, 184.1354785519801,
+                               2270.5562172784307, 47332.29274304072]),
+    (uniform_centered_target(), [1.0, 0.0, 0.08333333333333333, 0.0, 0.0125, 0.0,
+                                 0.002232142857142857, 0.0, 0.00043402777777777775]),
+    (beta_target(2.0, 3.0), [1.0, 0.0, 0.04000000000000001, 0.0022857142857142863,
+                             0.0037714285714285723, 0.0005790476190476193,
+                             0.0005104761904761906, 0.00013149090909090916,
+                             8.680727272727276e-05]),
+    (beta_target(8.52, 0.32), [1.0, 0.0, 0.0035456016811145777, -0.0006068093241292417,
+                               0.00017396425681569661, -5.686615589457942e-05,
+                               2.124947235308873e-05, -8.771578074105873e-06,
+                               3.9233137753830875e-06]),
+]
 
 
-def test_moment_recursion_breakdown_order():
-    # alpha = 2/(r-1) kills the left side at order r = len(moments)
+@pytest.mark.parametrize("target, want", MOMENT_LADDERS,
+                         ids=lambda v: f"{v.name}{v.params}" if hasattr(v, "name") else "")
+def test_moment_table_is_bit_identical_to_the_parent_ladder(target, want):
+    assert target.has_moment(8)
+    assert moment_table(*target.coeff.as_tuple(), 8) == want
+    assert poly_moments(*target.coeff.as_tuple()) == tuple(want[2:5])
+
+
+def test_moment_table_breakdown_order():
+    # alpha = 2/(r-1) kills the left side at order r
     with pytest.raises(ValueError, match="order 5"):
-        moment_recursion(0.5, 0.0, 1.0, [1.0, 0.0, 1.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        moment_recursion(0.5, 0.0, 1.0, [1.0])
+        moment_table(0.5, 0.0, 1.0, 5)
+    assert moment_table(0.5, 0.0, 1.0, 4)[4] == 4.0
+    assert moment_table(0.5, 0.0, 1.0, 0) == [1.0]
 
 
 def test_student_moment_bound():
@@ -703,7 +749,13 @@ def test_table_integrals_at_the_golden_parameters_raise_no_warning(target):
 def test_table_integrals_beside_singular_ends_raise_no_warning(target):
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
-        assert math.isfinite(stein_identity_residual(target, np.sin, np.cos))
+        if target.params == {"a": 2.0, "b": 5.0}:
+            # a(x) cos(x) p(x) decays only as x^-1.5: the piece cap is reached with
+            # the tail oscillation unresolved, and the table must say so
+            with pytest.warns(scipy.integrate.IntegrationWarning, match="cap of 4096"):
+                stein_identity_residual(target, np.sin, np.cos)
+        else:
+            assert math.isfinite(stein_identity_residual(target, np.sin, np.cos))
         res = stein_solution_residual(target, lambda y: y**2, target.interior_grid(20))
         assert np.all(np.isfinite(res))
         assert math.isclose(target.moment(2), moment_table(*target.coeff.as_tuple(), 2)[2],
