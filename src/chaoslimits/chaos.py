@@ -560,7 +560,7 @@ def ou_inverse(F):
     return ChaosVector(F.dim, {n: (1.0 / n) * k for n, k in F.components.items()})
 
 
-def wick_moment(factors, powers=None):
+def wick_moment(factors, powers):
     """E[prod_i F_i^{p_i}], exactly, via repeated chaos products.
 
     Splits the expanded factor list in half, multiplies each half with the
@@ -568,8 +568,6 @@ def wick_moment(factors, powers=None):
     read-off of the full product, done one multiplication earlier).  Guarded
     to at most 12 chaos factors.
     """
-    if powers is None:
-        powers = [1] * len(factors)
     if len(powers) != len(factors):
         raise ValueError("factors and powers length mismatch")
     flat = []

@@ -156,10 +156,6 @@ def _parse_m_list(text):
 
 
 def _cmd_diagnose(args):
-    if args.mc < 0:
-        raise ValueError(f"--mc must be >= 0, got {args.mc}")
-    if args.mc == 1:
-        raise ValueError("--mc must be 0 or >= 2 (a stderr needs two draws), got 1")
     if args.family not in BUILTIN_FAMILIES:
         raise ValueError(
             f"--family: unknown family {args.family!r}; choose from"

@@ -498,9 +498,10 @@ def _ratio_trend(values):
 def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
     """Evaluate the full diagnostic battery for family members m in ms.
 
-    ``target`` must carry a polynomial coefficient.  When ``mc_samples`` > 0 an
-    integer seed is required and every chaos-route quantity gains a Monte Carlo
-    twin (value, stderr) from ``mc_twins``.
+    ``target`` must carry a polynomial coefficient.  ``mc_samples`` is 0 or an
+    integer >= 2 (a stderr needs two draws); when it is not 0 an integer seed is
+    required and every chaos-route quantity gains a Monte Carlo twin (value,
+    stderr) from ``mc_twins``.
     """
     coeff = target.coeff
     try:
@@ -511,6 +512,9 @@ def run_family_diagnostics(family, ms, target, mc_samples=0, seed=None):
             " coefficient"
         ) from None
     if mc_samples:
+        if _check_int("mc_samples", mc_samples) < 2:
+            raise ValueError("mc_samples must be 0 or >= 2 (a stderr needs two draws),"
+                             f" got {mc_samples!r}")
         seed = _check_int("seed", seed)
     lam_match = None
     if target.name == "gamma":

@@ -1,8 +1,9 @@
 """Euler-Maruyama sampling of dX = b(X) dt + sqrt(a(X)) dW and empirical checks.
 
 The scheme is a single strictly-sequential chain with interior projection:
-after every step the state is clamped into [l + eps, u - eps], so sqrt(a) is
-always evaluated at a point where a > 0.  Noise is drawn in seeded chunks of
+after every step the state is clamped into the inset support that a(x) and
+the Stein routines read (``targets._inset_bounds``), so sqrt(a) is always
+evaluated at a point where a > 0.  Noise is drawn in seeded chunks of
 a fixed 65,536 steps (chunk c from ``default_rng([seed, c])``), which makes the
 whole sample stream bit-reproducible for a given config and prefix-stable: the
 first N draws never depend on how many more steps are run.
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.stats
 
 from .chaos import _check_int, iter_gaussian_chunks
-from .targets import _pivot, _stein_operator
+from .targets import _inset_bounds, _stein_operator
 
 __all__ = [
     "SimConfig",
@@ -49,7 +50,6 @@ class SimConfig:
     samples: int = 10_000
     thinning: int = 10
     seed: int = None
-    boundary_epsilon: float = 1e-8
 
     def __post_init__(self):
         if not (self.dt > 0.0):
@@ -57,8 +57,6 @@ class SimConfig:
         for name, least in (("burn_in", 0), ("samples", 2), ("thinning", 1),
                             ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), least))
-        if not (self.boundary_epsilon > 0.0):
-            raise ValueError("boundary_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,24 +92,18 @@ class EmpiricalDistribution:
 def simulate(target, cfg):
     """Run one Euler-Maruyama chain and return the thinned post-burn-in draws.
 
-    The chain starts at the target median (the mean without a ppf), projects
-    into the eps-inset of the support after every step, and raises on
-    overflow (|X| > 1e15 or NaN) or on a non-positive diffusion coefficient --
-    both symptoms of a dt too large for the coefficient's stiffness.
+    The chain starts at the target median, projects into the inset support
+    after every step, and raises on overflow (|X| > 1e15 or NaN) or on a
+    non-positive diffusion coefficient -- both symptoms of a dt too large for
+    the coefficient's stiffness.
     """
-    l, u = target.support
-    eps = cfg.boundary_epsilon
-    lo = l + eps if math.isfinite(l) else -math.inf
-    hi = u - eps if math.isfinite(u) else math.inf
-    if not lo < hi:
-        raise ValueError("boundary_epsilon swallows the whole support")
-
+    lo, hi = _inset_bounds(target.support)
     coeff = target.coeff
     mean = target.mean
 
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
-    x = min(max(_pivot(target), lo), hi)
+    x = min(max(float(target.ppf(0.5)), lo), hi)
 
     total = cfg.burn_in + cfg.samples * cfg.thinning
     out = np.empty(cfg.samples)
@@ -171,13 +163,11 @@ def wasserstein1_distance(e, reference):
     return float(scipy.stats.wasserstein_distance(e.values, reference.values))
 
 
-def stein_residual_empirical(e, target, h, dh=None):
-    """Sample mean and stderr of (1/2) a(Y) h'(Y) + b(Y) h(Y).
+def stein_residual_empirical(e, target, h, dh):
+    """Sample mean and stderr of (1/2) a(Y) h'(Y) + b(Y) h(Y), dh being h'.
 
     The expectation vanishes exactly under the target law, so a mean several
-    stderr away from 0 rejects the sample as target-distributed.  ``dh`` may
-    be omitted, in which case a five-point stencil at h ~ 1e-5 of the target
-    length scale is used.
+    stderr away from 0 rejects the sample as target-distributed.
     """
     vals = np.asarray(_stein_operator(target, h, dh)(e.values), dtype=float)
     mean = float(vals.mean())

@@ -18,12 +18,11 @@ pair (a, b) is A h = (1/2) a h' + b h; ``stein_solution`` inverts it and
 ``stein_identity_residual`` integrates it against the target.
 
 Densities are closed forms: every named target evaluates its log-density
-with ``math`` on a Python float (and with numpy on an array), and a
-polynomial a(x) and the drift compute in floats on a float.  The cdf, the
-ppf (and so exact sampling) and the support come from ``scipy.special`` in
-scipy.stats' own operation order (``_law``), equal to the frozen scipy law
-bit for bit without its generic wrapper; scipy.stats is the tests'
-reference.  A grid target evaluates its log-PCHIP piece by piece on a float.
+with numpy.  The cdf, the ppf (and so exact sampling) and the support come
+from ``scipy.special`` in scipy.stats' own operation order (``_law``), equal
+to the frozen scipy law bit for bit without its generic wrapper; scipy.stats
+is the tests' reference.  A grid target evaluates its log-PCHIP piece by
+piece on a float, as a chain step does.  Every target has a cdf and a ppf.
 
 Every integral against a target (moments, the grid's mass, mean, cdf and
 a(x), Stein solutions, the Stein identity) reads one table of fixed pieces,
@@ -124,9 +123,6 @@ class DiffusionCoefficient:
         return (self.alpha, self.beta, self.gamma)
 
     def __call__(self, x):
-        if type(x) is float and self.kind == "polynomial":
-            # the array path's operations in its order, so the two agree bitwise
-            return self.alpha * x * x + self.beta * x + self.gamma
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
             out = self.alpha * x * x + self.beta * x + self.gamma
@@ -138,7 +134,7 @@ class DiffusionCoefficient:
 
 @dataclass(frozen=True)
 class TargetMeasure:
-    """A density on (l, u) together with its diffusion pair (a, b).
+    """A density on (l, u), its cdf and ppf, and its diffusion pair (a, b).
 
     The drift is b(x) = mean - x by construction, ``mean`` being E[X] under
     this law.  ``moment_bound`` is the supremum of k with E|X|^k < inf
@@ -151,8 +147,8 @@ class TargetMeasure:
     support: tuple
     density: object = field(repr=False)
     coeff: DiffusionCoefficient = field(repr=False)
-    cdf: object = field(repr=False, default=None)
-    ppf: object = field(repr=False, default=None)
+    cdf: object = field(repr=False)
+    ppf: object = field(repr=False)
     params: dict = field(default_factory=dict)
     moment_bound: float = math.inf
     mean: float = 0.0
@@ -172,33 +168,17 @@ class TargetMeasure:
         return self._integrals().integral(fn)
 
     def drift(self, x):
-        if type(x) is float:
-            return self.mean - x
         return self.mean - np.asarray(x, dtype=float)
 
     def has_moment(self, k):
         return k < self.moment_bound
 
     def interior_grid(self, n=201):
-        """Quantile-spaced interior points (falls back to linear spacing).
-
-        Without a ppf, a lone infinite end is replaced by a point on its side
-        of the mean, 5 max(1, |mean - finite end|) away; with both ends
-        infinite the span is (-10, 10).
-        """
-        qs = np.linspace(0.005, 0.995, n)
-        if self.ppf is not None:
-            # a quantile of a law massed at a singular end can round to the end
-            lo, hi = _inset_bounds(self.support)
-            return np.clip(np.asarray(self.ppf(qs), dtype=float), lo, hi)
-        l, u = self.support
-        if math.isfinite(l) != math.isfinite(u):
-            reach = 5.0 * max(1.0, abs(self.mean - (l if math.isfinite(l) else u)))
-            l, u = (l, self.mean + reach) if math.isfinite(l) else (self.mean - reach, u)
-        lo = l if math.isfinite(l) else -10.0
-        hi = u if math.isfinite(u) else 10.0
-        eps = 1e-6 * (hi - lo)
-        return np.linspace(lo + eps, hi - eps, n)
+        """Quantiles 0.005 to 0.995, clamped to the inset support: a quantile
+        of a law massed at a singular end can round to the end."""
+        lo, hi = _inset_bounds(self.support)
+        return np.clip(np.asarray(self.ppf(np.linspace(0.005, 0.995, n)), dtype=float),
+                       lo, hi)
 
     def length_scale(self):
         """u - l on a bounded support, else sqrt(E X^2): read off the moment
@@ -222,19 +202,38 @@ class TargetMeasure:
         positivity of a on the interior grid.
 
         The mass and the drift are integrated by adaptive ``quad`` of the
-        density, not read off the table every other integral reads.  On a
-        finite support with no power at either end quad starts from the
-        table's pieces, so a grid density's knots, where it is only once
-        differentiable, are breaks.
+        density, not read off the table every other integral reads.  Beside
+        an end where p behaves as c d^e, quad integrates p / d^e against the
+        weight d^e (``weight="alg"``), evaluating it no nearer the end than
+        the next float: over the whole of a finite support, else over the
+        table's end piece.  On a finite support with no power at either end
+        quad starts from the table's pieces, so a grid density's knots, where
+        it is only once differentiable, are breaks.
         """
-        l, u = self.support
-        plain = math.isfinite(l) and math.isfinite(u) and self._end_powers == (0.0, 0.0)
-        points = self._integrals().breaks[1:-1] if plain else None
+        (l, u), e, b = self.support, self._end_powers, self._integrals().breaks
+        near = (math.nextafter(l, math.inf), math.nextafter(u, -math.inf))
+        spans = [(l, u, e)]  # (start, stop, (e at start, e at stop))
+        if any(e) and math.isinf(u - l):  # the finite end's piece, then the rest
+            spans = ([(l, b[1], e), (b[1], u, (0.0, 0.0))] if e[0]
+                     else [(l, b[-2], (0.0, 0.0)), (b[-2], u, e)])
 
         def integral(fn):
-            return integrate.quad(lambda y: fn(y) * self.density(y), l, u, points=points,
-                                  epsabs=1e-10, epsrel=1e-8,
-                                  limit=400 + (0 if points is None else 2 * len(points)))[0]
+            total = 0.0
+            for start, stop, (e0, e1) in spans:
+                def integrand(y):
+                    y = min(max(y, near[0]), near[1])
+                    return fn(y) * self.density(y) / ((y - start) ** e0 * (stop - y) ** e1)
+
+                if e0 or e1:
+                    opts = {"weight": "alg", "wvar": (e0, e1), "limit": 400}
+                else:
+                    # an unweighted finite span is the whole support
+                    points = b[1:-1] if math.isfinite(stop - start) else None
+                    opts = {"points": points,
+                            "limit": 400 + (0 if points is None else 2 * len(points))}
+                total += integrate.quad(integrand, start, stop, epsabs=1e-10, epsrel=1e-8,
+                                        **opts)[0]
+            return total
 
         mass = integral(lambda y: 1.0)
         if abs(mass - 1.0) > _VALIDATE_TOL:
@@ -251,44 +250,27 @@ class TargetMeasure:
 
     def sample_exact(self, count, seed):
         """Inverse-CDF sampling (independent draws, not the diffusion)."""
-        if self.ppf is None:
-            raise ValueError(f"target {self.name!r} has no quantile function")
         rng = np.random.default_rng([_check_int("seed", seed), 0x5EED])
         return np.asarray(self.ppf(rng.uniform(size=count)), dtype=float)
 
 
 def _closed_form_density(logpdf, support, edges):
-    """density(x) from a closed-form log-density on the open support.
+    """density(x) from a closed-form numpy log-density on the open support.
 
-    ``logpdf(y, ns)`` is written once against a namespace ``ns`` of math
-    functions: a Python float inside the support takes ``math`` and returns
-    a float with no array wrapping, an array takes numpy on its interior
-    points.  ``edges`` are the density's values at the lower and upper
-    endpoints; outside the support it is 0.
+    ``logpdf`` is evaluated on the interior points; ``edges`` are the
+    density's values at the lower and upper endpoints; outside the support
+    it is 0.  A scalar x gives a float.
     """
     lo, hi = support
     p_lo, p_hi = edges
 
-    def scalar(x):
-        if lo < x < hi:
-            return math.exp(logpdf(x, math))
-        if x == lo:
-            return p_lo
-        if x == hi:
-            return p_hi
-        return math.nan if math.isnan(x) else 0.0
-
     def density(x):
-        if isinstance(x, float):
-            return scalar(x)
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return scalar(float(x))
         out = np.where(x == lo, p_lo, np.where(x == hi, p_hi, 0.0))
         inside = (lo < x) & (x < hi)
-        out[inside] = np.exp(logpdf(x[inside], np))
+        out[inside] = np.exp(logpdf(x[inside]))
         out[np.isnan(x)] = np.nan
-        return out
+        return out if out.ndim else float(out)
 
     return density
 
@@ -368,7 +350,7 @@ def normal_target(gamma=1.0):
     c = -math.log(s) - 0.5 * math.log(2.0 * math.pi)
     return _named_target(
         "normal", _law(special.ndtr, special.ndtri, scale=s),
-        lambda x, ns: c - 0.5 * (x / s) ** 2,
+        lambda x: c - 0.5 * (x / s) ** 2,
         DiffusionCoefficient.polynomial(0.0, 0.0, 2.0 * g),
         {"gamma": g},
     )
@@ -385,7 +367,7 @@ def student_target(nu):
     return _named_target(
         "student",
         _law(lambda y: special.stdtr(nu, y), lambda q: special.stdtrit(nu, q)),
-        lambda x, ns: c - 0.5 * (nu + 1.0) * ns.log1p(x * x / nu),
+        lambda x: c - 0.5 * (nu + 1.0) * np.log1p(x * x / nu),
         DiffusionCoefficient.polynomial(al, 0.0, 2.0 * nu / (nu - 1.0)),
         {"nu": nu}, moment_bound=nu,
     )
@@ -404,7 +386,7 @@ def pareto_target(nu):
         "pareto",
         _law(lambda y: 1 - y ** (-nu), lambda q: pow(1 - q, -1.0 / nu),
              (1.0, math.inf), loc=loc),
-        lambda x, ns: log_nu - (nu + 1.0) * ns.log(x - loc),
+        lambda x: log_nu - (nu + 1.0) * np.log(x - loc),
         DiffusionCoefficient.polynomial(c, c * (1.0 + 2.0 * m), c * m * (1.0 + m)),
         {"nu": nu}, ((0.0, nu), (0.0, 0.0)), moment_bound=nu, mean_shift=m,
     )
@@ -419,9 +401,9 @@ def gamma_target(a, lam):
     scale = 1.0 / lam
     c = -math.lgamma(a) - math.log(scale)
 
-    def logpdf(x, ns):
+    def logpdf(x):
         y = (x + m) / scale
-        return (a - 1.0) * ns.log(y) - y + c
+        return (a - 1.0) * np.log(y) - y + c
 
     return _named_target(
         "gamma",
@@ -443,9 +425,9 @@ def inverse_gamma_target(delta, lam):
     c = 2.0 / (lam - 1.0)
     const = -math.lgamma(lam) - math.log(delta)
 
-    def logpdf(x, ns):
+    def logpdf(x):
         y = (x + m) / delta
-        return -(lam + 1.0) * ns.log(y) - 1.0 / y + const
+        return -(lam + 1.0) * np.log(y) - 1.0 / y + const
 
     # exp(-1/y) beats every power of y at 0: the density is 0 there, smoothly
     return _named_target(
@@ -470,9 +452,9 @@ def fdist_target(a, b):
     c = (0.5 * b * math.log(b) + 0.5 * a * math.log(a)
          - float(special.betaln(0.5 * a, 0.5 * b)))
 
-    def logpdf(x, ns):
+    def logpdf(x):
         y = x + m
-        return (0.5 * a - 1.0) * ns.log(y) - 0.5 * (a + b) * ns.log(b + a * y) + c
+        return (0.5 * a - 1.0) * np.log(y) - 0.5 * (a + b) * np.log(b + a * y) + c
 
     return _named_target(
         "f",
@@ -491,7 +473,7 @@ def uniform_centered_target():
     """Uniform on (-1/2, 1/2): a(x) = 1/4 - x^2."""
     return _named_target(
         "uniform", _law(lambda y: y, lambda q: q, (0.0, 1.0), loc=-0.5),
-        lambda x, ns: 0.0,
+        lambda x: 0.0,
         DiffusionCoefficient.polynomial(-1.0, 0.0, 0.25), {},
         ((0.0, 1.0), (0.0, 1.0)), mean_shift=0.5,
     )
@@ -509,9 +491,9 @@ def beta_target(a, b):
     hi = 1.0 - m  # the upper end, as scipy places it
     lbeta = float(special.betaln(a, b))
 
-    def logpdf(x, ns):
+    def logpdf(x):
         # each factor from the distance to its own end, exact beside that end
-        return (a - 1.0) * ns.log(x + m) + (b - 1.0) * ns.log(hi - x) - lbeta
+        return (a - 1.0) * np.log(x + m) + (b - 1.0) * np.log(hi - x) - lbeta
 
     return _named_target(
         "beta",
@@ -742,16 +724,13 @@ class _PieceTable:
 def _target_table(target):
     """The table of a named or hand-built target.
 
-    Breaks are quantiles from the ppf (else the interior grid), continued
-    into an infinite end by ``_far_breaks``.
+    Breaks are quantiles from the ppf, continued into an infinite end by
+    ``_far_breaks``.
     """
     l, u = target.support
-    if target.ppf is not None:
-        xs = np.asarray(target.ppf(np.concatenate([
-            _TAIL_Q if math.isinf(l) else [], _BREAK_Q,
-            1.0 - _TAIL_Q if math.isinf(u) else []])), dtype=float)
-    else:
-        xs = target.interior_grid(len(_BREAK_Q))
+    xs = np.asarray(target.ppf(np.concatenate([
+        _TAIL_Q if math.isinf(l) else [], _BREAK_Q,
+        1.0 - _TAIL_Q if math.isinf(u) else []])), dtype=float)
     near = [_END_PIECE * abs(target.mean - e) if math.isfinite(e) else 0.0 for e in (l, u)]
     xs = np.unique(xs[(xs > l + near[0]) & (xs < u - near[1])])
     centre = xs[len(xs) // 2]
@@ -922,12 +901,6 @@ def _tail_quotient(tail, den, support, left):
     return quotient
 
 
-def _pivot(target):
-    """The target's median, or its mean when it has no ppf: where a Stein
-    solution switches tails and where a chain starts."""
-    return float(target.ppf(0.5)) if target.ppf is not None else target.mean
-
-
 def stein_solution(target, f):
     """Solve (1/2) a g' + b g = f - E[f] for g; returns a callable.
 
@@ -936,8 +909,7 @@ def stein_solution(target, f):
     named target's does, gets the Polynomial g of degree k - 1 from
     ``_pearson_solution``, with no integral.  Otherwise
     g(x) = 2 (int_l^x (f - m_f) p) / (a(x) p(x)), evaluated from the nearer
-    tail: the lower one up to the median (the mean without a ppf), and
-    vanishing appropriately at both endpoints; ValueError where a(x) p(x)
+    tail: the lower one up to the median, and vanishing appropriately at both endpoints; ValueError where a(x) p(x)
     is not positive.  f is evaluated on arrays of table nodes, so it must
     accept arrays.  E[f] is ``g.mean_value``.
     """
@@ -946,7 +918,7 @@ def stein_solution(target, f):
         return _pearson_solution(target, f)
     density = target.density
     tail = target._integrals().cumulative(f, centred=True)
-    pivot = _pivot(target)
+    pivot = float(target.ppf(0.5))
     g = _tail_quotient(tail, lambda x: target.coeff(x) * density(x),
                        target.support, lambda x: x <= pivot)
     g.mean_value = tail.mean
@@ -978,16 +950,8 @@ def _derivative5(v, h):
     return (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h)
 
 
-def _stein_operator(target, h, dh=None):
-    """x -> (1/2) a(x) h'(x) + b(x) h(x), the Stein operator of the target.
-
-    ``dh`` defaults to a five-point central difference with step
-    _FD_STEP times the target's length scale.
-    """
-    if dh is None:
-        step = _FD_STEP * target.length_scale()
-        dh = lambda x: _derivative5(
-            (h(x - 2 * step), h(x - step), None, h(x + step), h(x + 2 * step)), step)
+def _stein_operator(target, h, dh):
+    """x -> (1/2) a(x) h'(x) + b(x) h(x), the Stein operator of the target."""
 
     def op(x):
         return 0.5 * target.coeff(x) * dh(x) + target.drift(x) * h(x)
@@ -1020,13 +984,12 @@ def stein_solution_residual(target, f, xs):
     return 0.5 * target.coeff(xs) * dg + target.drift(xs) * gx - (f(xs) - g.mean_value)
 
 
-def stein_identity_residual(target, h, dh=None):
+def stein_identity_residual(target, h, dh):
     """E[(1/2) a(X) h'(X) + b(X) h(X)] under the target, on its table, with
-    h and dh evaluated on node arrays.
+    h and its derivative dh evaluated on node arrays.
 
     Zero (to quadrature accuracy) for every admissible h exactly when the
-    target is the invariant law of the (a, b) diffusion.  ``dh`` defaults to
-    a five-point central difference.
+    target is the invariant law of the (a, b) diffusion.
     """
     return target._integral(_stein_operator(target, h, dh))
 

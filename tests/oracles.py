@@ -160,17 +160,18 @@ def naive_em(target, cfg):
     """Reference Euler-Maruyama chain: the kept draws in chain order.
 
     Calls ``target.coeff(x)`` and ``target.drift(x)`` generically at every
-    step, on the start point (the median, else the mean), noise stream,
-    clamping and thinning of ``simulate``.
+    step, on the start point (the median), noise stream, clamping and
+    thinning of ``simulate``.  The chain is clamped into the support inset at
+    each finite end by 1e-8 of its length, or of max(1, |end|) when the other
+    end is infinite.
     """
     from chaoslimits.chaos import iter_gaussian_chunks
 
     l, u = target.support
-    eps = cfg.boundary_epsilon
-    lo = l + eps if math.isfinite(l) else -math.inf
-    hi = u - eps if math.isfinite(u) else math.inf
-    x0 = float(target.ppf(0.5)) if target.ppf is not None else target.mean
-    x = min(max(x0, lo), hi)
+    unit = u - l if math.isfinite(u - l) else None
+    lo = l + 1e-8 * (unit or max(1.0, abs(l))) if math.isfinite(l) else -math.inf
+    hi = u - 1e-8 * (unit or max(1.0, abs(u))) if math.isfinite(u) else math.inf
+    x = min(max(float(target.ppf(0.5)), lo), hi)
     total = cfg.burn_in + cfg.samples * cfg.thinning
     noise = np.concatenate(list(iter_gaussian_chunks(1, total, cfg.seed)))
     kept = []

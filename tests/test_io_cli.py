@@ -223,6 +223,18 @@ def test_cli_stein_check_beta_with_singular_ends(capsys):
     assert max(json.loads(out)["max_abs_residual"].values()) <= 1e-15
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [["gamma", "--a", "0.05", "--lambda", "1"],
+                                  ["f", "--a", "0.1", "--b", "20"],
+                                  ["beta", "--a", "0.05", "--b", "2"],
+                                  ["gamma", "--a", "0.3", "--lambda", "1"]],
+                         ids=" ".join)
+def test_cli_stein_check_beside_a_singular_end(capsys, args):
+    # validate's quad used to reject the first two laws and warn on the others
+    code, out, err = run_cli(capsys, ["stein-check", "--name", *args])
+    assert code == 0 and json.loads(out)["pass"] is True and err == ""
+
+
 def test_cli_stein_check_grid_target_file(capsys):
     # a 97-knot N(0, 1) density on [-6, 6]: both residuals meet the named
     # targets' tolerance, with no quadrature warning
@@ -300,14 +312,14 @@ def test_cli_diagnose_rejects_a_negative_sample_count(capsys):
     code, out, err = run_cli(capsys, ["diagnose", "--family", "gaussian_clt",
                                       "--m", "2", "--name", "normal", "--gamma",
                                       "1", "--mc", "-5", "--seed", "1"])
-    assert code == 2 and "--mc must be >= 0" in err and not out
+    assert code == 2 and "mc_samples must be >= 0" in err and not out
 
 
 def test_cli_diagnose_rejects_a_single_sample(capsys):
     code, out, err = run_cli(capsys, ["diagnose", "--family", "gaussian_clt",
                                       "--m", "2", "--name", "normal", "--gamma",
                                       "1", "--mc", "1", "--seed", "1"])
-    assert code == 2 and "--mc must be 0 or >= 2" in err and not out
+    assert code == 2 and "mc_samples must be 0 or >= 2" in err and not out
     assert "Warning" not in err
 
 

@@ -22,9 +22,12 @@ from chaoslimits import (
     uniform_centered_target,
     wasserstein1_distance,
 )
+from chaoslimits.targets import _inset_bounds
 from oracles import naive_em
 
 FAST = SimConfig(dt=2e-3, burn_in=2_000, samples=2_000, thinning=5, seed=1)
+# on beta(1/2, 1/2) this chain clamps 0.88% of its steps
+BETA_CLAMPING = SimConfig(dt=2e-3, burn_in=500, samples=500, thinning=4, seed=9)
 
 
 def test_simconfig_validation():
@@ -38,8 +41,6 @@ def test_simconfig_validation():
         SimConfig(thinning=0, seed=1)
     with pytest.raises(ValueError, match="seed"):
         SimConfig()
-    with pytest.raises(ValueError, match="boundary_epsilon"):
-        SimConfig(seed=1, boundary_epsilon=0.0)
 
 
 @pytest.mark.parametrize("seed", [3.7, 3.0, True, "3"])
@@ -88,7 +89,7 @@ def test_simulate_meta_echo():
     # the config fields in declaration order, and the seed as a plain int
     e = simulate(t, dataclasses.replace(FAST, seed=np.int64(3)))
     assert list(e.meta) == ["target", "params", "dt", "burn_in", "samples",
-                            "thinning", "seed", "boundary_epsilon"]
+                            "thinning", "seed"]
     assert type(e.meta["seed"]) is int and e.meta["seed"] == 3
 
 
@@ -142,18 +143,16 @@ def test_simulate_nonpositive_coefficient_raises():
 
 
 def test_clamp_fraction_reporting():
-    # a huge boundary inset forces constant clamping on a bounded target
-    t = uniform_centered_target()
-    e = simulate(t, SimConfig(dt=2e-3, burn_in=500, samples=500, thinning=2,
-                              seed=5, boundary_epsilon=0.2))
+    # beta(1/2, 1/2) piles its mass at both ends, so a coarse chain clamps often
+    e = simulate(beta_target(0.5, 0.5), BETA_CLAMPING)
     assert e.clamp_fraction > 0.0
     assert e.clamping_flagged
-    calm = simulate(t, FAST)
+    calm = simulate(uniform_centered_target(), FAST)
     assert not calm.clamping_flagged
 
 
 def test_simulate_numeric_coefficient_equals_reference_chain():
-    # a 65-knot N(0, 1) grid target: a(x) is one quad per step, drift mean - x
+    # a 65-knot N(0, 1) grid target: a(x) reads the table per step, drift mean - x
     xs = np.linspace(-6.0, 6.0, 65)
     t = target_from_density_grid(xs, scipy.stats.norm.pdf(xs))
     assert t.coeff.kind == "numeric"
@@ -167,25 +166,30 @@ def test_clamping_beta_chain_equals_reference_chain():
     # beta(1/2, 1/2) has beta = 0, so the chain's Horner form of a(x) rounds
     # like the reference's expanded one and the two chains agree bit for bit
     t = beta_target(0.5, 0.5)
-    cfg = SimConfig(dt=2e-3, burn_in=500, samples=500, thinning=4, seed=9,
-                    boundary_epsilon=0.05)
-    e = simulate(t, cfg)
-    assert np.array_equal(e.values, np.sort(naive_em(t, cfg)))
-    assert e.clamp_fraction == 0.0268
+    e = simulate(t, BETA_CLAMPING)
+    assert np.array_equal(e.values, np.sort(naive_em(t, BETA_CLAMPING)))
+    assert e.clamp_fraction == 0.0088
+
+
+def test_chain_clamps_to_the_inset_support_of_a_and_the_stein_routines():
+    # Gamma(1/2, 1/4) on (-2, inf): the chain's lower clamp is the point a(x)
+    # is read at, 1e-8 of max(1, |l|) = 2 inside the end, not 1e-8 inside it
+    t = gamma_target(0.5, 0.25)
+    e = simulate(t, SimConfig(dt=1e-3, burn_in=2000, samples=2000, thinning=5, seed=4))
+    assert e.clamp_fraction == 49 / 12000
+    assert e.values[0] == _inset_bounds(t.support)[0] == -1.99999998
 
 
 def test_simulate_starts_at_the_median_else_the_mean():
-    # Gamma(2, 1) moved to (5, inf) with no cdf or ppf starts at its mean 7
-    def density(x):
-        y = np.asarray(x, dtype=float) - 5.0
-        return np.where(y > 0.0, y * np.exp(-np.maximum(y, 0.0)), 0.0)
-
+    # a hand-built Gamma(2, 1) moved to (5, inf) starts at its median, as a
+    # named target does
+    law = scipy.stats.gamma(2.0, loc=5.0)
     shifted = TargetMeasure(name="shifted_gamma", support=(5.0, np.inf),
-                            density=density, mean=7.0,
+                            density=law.pdf, cdf=law.cdf, ppf=law.ppf, mean=7.0,
                             coeff=DiffusionCoefficient.polynomial(0.0, 2.0, -10.0))
     named = gamma_target(2.0, 1.0)
     tiny = SimConfig(dt=1e-12, burn_in=0, samples=2, thinning=1, seed=3)
-    for t, start in ((shifted, 7.0), (named, float(named.ppf(0.5)))):
+    for t, start in ((shifted, law.median()), (named, float(named.ppf(0.5)))):
         assert np.allclose(simulate(t, tiny).values, start, rtol=0.0, atol=1e-4)
     cfg = SimConfig(dt=1e-3, burn_in=100, samples=50, thinning=2, seed=3)
     ref = np.sort(naive_em(shifted, cfg))
@@ -240,14 +244,6 @@ def test_stein_residual_empirical_on_exact_samples():
         mean, se = stein_residual_empirical(e, t, h, dh)
         assert se > 0
         assert abs(mean) < 4 * se
-
-
-def test_stein_residual_empirical_fd_fallback():
-    t = normal_target(1.0)
-    e = EmpiricalDistribution(t.sample_exact(2_000, seed=19))
-    with_dh = stein_residual_empirical(e, t, np.sin, np.cos)
-    without = stein_residual_empirical(e, t, np.sin)
-    assert math.isclose(with_dh[0], without[0], rel_tol=1e-6, abs_tol=1e-9)
 
 
 def test_stein_residual_empirical_rejects_wrong_law():
