@@ -254,16 +254,6 @@ class BlockKernel:
     def order(self):
         return self.left_order + self.right_order
 
-    def norm_sq(self):
-        """Unsymmetrized squared norm in H^{tensor (n+m-2r)}."""
-        return sum(
-            multiplicity(a) * multiplicity(b) * v * v
-            for (a, b), v in self.blocks.items()
-        )
-
-    def norm(self):
-        return math.sqrt(self.norm_sq())
-
     def symmetrized(self):
         out = {}
         for (a, b), v in self.blocks.items():

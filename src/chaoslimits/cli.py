@@ -68,41 +68,39 @@ _TARGET_PARAMS = {
 }
 
 
-def _add_target_flags(sub):
-    sub.add_argument("--name", help="named target (see targets-list)")
-    sub.add_argument("--target", help="named target or target file path")
+def _add_target_flags(sub, grid_file=False):
+    sub.add_argument("--name", required=not grid_file,
+                     help="named target (see targets-list)")
+    if grid_file:
+        sub.add_argument("--target", help="target file holding a density grid")
     for key, text in _TARGET_PARAMS.items():
         sub.add_argument(f"--{cio.file_param_name(key)}", dest=key, type=float,
                          help=text)
 
 
 def _resolve_target(args):
-    """Target from --name or --target plus every given parameter flag;
-    ``named_target`` rejects a flag its target does not take."""
-    if args.name is not None and args.target is not None:
-        raise ValueError("give --name or --target, not both")
-    source = args.target if args.name is None else args.name
-    if source is None:
-        raise ValueError("provide a target via --name or --target")
+    """Target from --name plus every given parameter flag, or from a --target
+    grid file; ``named_target`` rejects a flag its target does not take."""
     params = {key: getattr(args, key) for key in _TARGET_PARAMS
               if getattr(args, key) is not None}
-    if args.name is None and source not in NAMED_TARGETS:
+    path = getattr(args, "target", None)
+    if path is not None:
+        if args.name is not None:
+            raise ValueError("give --name or --target, not both")
         if params:
             flags = [f"--{cio.file_param_name(key)}" for key in params]
             raise ValueError(f"a target file takes no parameter flags, got {flags}")
-        return cio.load_target(source)
-    if source == "inverse_gamma" and "a" in params:
+        return cio.load_target(path)
+    if args.name is None:
+        raise ValueError("provide a target via --name or --target")
+    if args.name == "inverse_gamma" and "a" in params:
         params["delta"] = params.pop("a")
-    return named_target(source, **params)
+    return named_target(args.name, **params)
 
 
-def _emit(doc, out=None):
-    """Print the report, stamped with the schema version, and maybe save it."""
-    text = cio.dumps_struct({"schema_version": cio.SCHEMA_VERSION, **doc})
-    print(text)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+def _emit(doc):
+    """Print the report, stamped with the schema version."""
+    print(cio.dumps_struct({"schema_version": cio.SCHEMA_VERSION, **doc}))
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -110,7 +108,7 @@ def _emit(doc, out=None):
 def _cmd_targets_list(args):
     rows = [{"name": name, "params": [cio.file_param_name(p) for p in wanted]}
             for name, (_, wanted) in NAMED_TARGETS.items()]
-    _emit({"targets": rows}, args.out)
+    _emit({"targets": rows})
     return 0
 
 
@@ -122,7 +120,7 @@ def _cmd_targets_coeffs(args):
         "alpha": alpha,
         "beta": beta,
         "gamma": gamma,
-    }, args.out)
+    })
     return 0
 
 
@@ -141,7 +139,7 @@ def _cmd_classify(args):
     verdict = classifier(args.alpha, args.beta, args.gamma)
     _emit({
         "classifier": _verdict_doc(verdict),
-    }, args.out)
+    })
     return 0
 
 
@@ -182,7 +180,7 @@ def _cmd_diagnose(args):
         "members": members,
         "classifier": _verdict_doc(report.verdict),
         "trends": trends,
-    }, args.out)
+    })
     return 0
 
 
@@ -240,7 +238,7 @@ def _cmd_stein_check(args):
         "max_abs_residual": residuals,
         "tolerance": _STEIN_CHECK_TOL,
         "pass": ok,
-    }, args.out)
+    })
     return 0 if ok else 1
 
 
@@ -292,7 +290,7 @@ def _cmd_oracle_check(args):
         "checks": {name: {"pass": p, "fail": f}
                    for name, (p, f) in sorted(counts.items())},
         "failures": failures,
-    }, args.out)
+    })
     return 0 if failures == 0 else 1
 
 
@@ -304,39 +302,35 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("targets-list", help="list named target measures")
-    p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=_cmd_targets_list)
 
     p = sub.add_parser("targets-coeffs",
                        help="diffusion coefficient of a target")
     _add_target_flags(p)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_targets_coeffs)
 
     p = sub.add_parser("classify", help="classify a coefficient triple")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("diagnose", help="kernel-family diagnostics report")
     p.add_argument("--family", required=True,
                    help="gaussian_clt or gamma_fixed (k via --k)")
-    p.add_argument("--k", type=float,
-                   help="gamma_fixed only: family size k (default 1); the"
-                        " limit is Gamma(k/2, 1/2)")
+    p.add_argument("--k", type=int,
+                   help="gamma_fixed only: integer family size k (default 1);"
+                        " the limit is Gamma(k/2, 1/2)")
     p.add_argument("--m", required=True,
                    help="comma-separated member indices, e.g. 1,2,4,8")
     p.add_argument("--mc", type=int, default=0,
                    help="Monte Carlo samples per member (0 = exact only)")
     p.add_argument("--seed", type=int)
     _add_target_flags(p)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("simulate", help="Euler-Maruyama sampling of a target")
-    _add_target_flags(p)
+    _add_target_flags(p, grid_file=True)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=100_000)
     p.add_argument("--samples", type=int, default=10_000)
@@ -346,15 +340,13 @@ def build_parser():
 
     p = sub.add_parser("stein-check",
                        help="Stein-equation solver residual on interior grids")
-    _add_target_flags(p)
-    p.add_argument("--out")
+    _add_target_flags(p, grid_file=True)
     p.set_defaults(func=_cmd_stein_check)
 
     p = sub.add_parser("oracle-check",
                        help="closed forms vs the Wick oracle (CI gate)")
     p.add_argument("--m", type=int, default=60, help="number of random kernels")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -194,8 +194,13 @@ def classifier(alpha, beta, gamma, all_even_moments_finite=True):
     - beta != 0, alpha < 0 or alpha > 2/3: Inconsistent -- the discriminant is
       nonnegative and the real-root argument forces alpha = 0, contradiction:
       no chaos sequence converges to such a target.
+
+    A non-finite coefficient raises ValueError.
     """
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+    if not all(map(math.isfinite, (alpha, beta, gamma))):
+        raise ValueError(f"classifier needs finite coefficients, got alpha={alpha!r},"
+                         f" beta={beta!r}, gamma={gamma!r}")
     if alpha in _EXCLUDED_ALPHAS:
         return ClassifierVerdict(
             kind="OutsideHypotheses",
@@ -453,14 +458,9 @@ def gaussian_clt_family():
 
 
 def gamma_fixed_family(k=1):
-    """f = sum_{i<k} e_i^{x2}, constant in m: F ~ centered Gamma(k/2, 1/2).
-
-    k must be a whole number >= 1, default 1 (an integral float such as 4.0 is
-    accepted).
-    """
-    if not (k >= 1 and float(k).is_integer()):
-        raise ValueError(f"gamma_fixed needs an integer k >= 1, got {k!r}")
-    k = int(k)
+    """f = sum_{i<k} e_i^{x2}, constant in m: F ~ centered Gamma(k/2, 1/2),
+    for an integer k >= 1."""
+    k = _check_int("k", k, 1)
 
     def member(m):
         return SymmetricKernel(k, 2, {(i, i): 1.0 for i in range(k)})

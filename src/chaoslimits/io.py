@@ -1,10 +1,10 @@
 """File formats and report serialization.
 
-Target files are ``{"name": ..., "params": {...}}`` for the named measures
-(the file key for a rate parameter is ``"lambda"``) or
-``{"name": "custom", "density": [[x, p], ...], "support": [l, u]}`` for a grid
-density, interpolated monotonically in log-space.  Sample dumps hold one
-float per line after ``# key: value`` header comments.
+A target file holds a density grid,
+``{"name": "custom", "density": [[x, p], ...], "support": [l, u]}``,
+interpolated monotonically in log-space; a named law is given by its name and
+parameters instead (reports spell the rate parameter ``"lambda"``).  Sample
+dumps hold one float per line after ``# key: value`` header comments.
 
 All numeric output is rendered at 17 significant digits, so every float
 round-trips exactly and seeded reports are reproducible byte-for-byte.
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .targets import named_target, target_from_density_grid
+from .targets import target_from_density_grid
 
 __all__ = [
     "dumps_struct",
@@ -30,13 +30,12 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-# file key -> constructor keyword (``lambda`` is reserved in Python)
-_PARAM_TO_KW = {"lambda": "lam"}
+# constructor keyword -> report and flag spelling (``lambda`` is reserved in Python)
 _KW_TO_PARAM = {"lam": "lambda"}
 
 
 def file_param_name(key):
-    """The file-format spelling of a constructor keyword (lam -> lambda)."""
+    """The report and flag spelling of a constructor keyword (lam -> lambda)."""
     return _KW_TO_PARAM.get(key, key)
 
 
@@ -84,45 +83,35 @@ def dumps_struct(obj, indent=0):
 # --- targets -------------------------------------------------------------------
 
 def target_to_dict(target):
-    """{"name", "params"} with file-spelled parameter keys, as reports show it."""
+    """{"name", "params"} with flag-spelled parameter keys, as reports show it."""
     return {"name": target.name,
             "params": {file_param_name(k): v for k, v in target.params.items()}}
 
 
 def load_target(path):
-    """Build a TargetMeasure from a target file."""
+    """Build a grid TargetMeasure from a target file."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "name" not in doc:
-        raise ValueError("target file: missing field 'name'")
-    name = doc["name"]
-    if name == "custom":
-        if "density" not in doc or "support" not in doc:
-            raise ValueError("target file: custom target needs 'density' and"
-                             " 'support'")
-        grid = _numbers(doc["density"], "'density'")
-        if grid.ndim != 2 or grid.shape[1] != 2 or grid.shape[0] < 4:
-            raise ValueError("target file: 'density' must be a grid of"
-                             " at least 4 (x, p) pairs")
-        lo, hi = _numbers(doc["support"], "'support'")
-        return target_from_density_grid(grid[:, 0], grid[:, 1], (lo, hi))
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("target file: 'params' must be an object")
-    kwargs = {_PARAM_TO_KW.get(k, k): float(_numbers(v, f"parameter {k!r}", ndim=0))
-              for k, v in params.items()}
-    return named_target(name, **kwargs)
+    if not isinstance(doc, dict) or doc.get("name") != "custom":
+        raise ValueError('target file: expected a density grid ("name": "custom");'
+                         " give a named law by --name")
+    if "density" not in doc or "support" not in doc:
+        raise ValueError("target file: custom target needs 'density' and 'support'")
+    grid = _numbers(doc["density"], "'density'")
+    if grid.ndim != 2 or grid.shape[1] != 2 or grid.shape[0] < 4:
+        raise ValueError("target file: 'density' must be a grid of"
+                         " at least 4 (x, p) pairs")
+    lo, hi = _numbers(doc["support"], "'support'")
+    return target_from_density_grid(grid[:, 0], grid[:, 1], (lo, hi))
 
 
-def _numbers(value, what, ndim=None):
+def _numbers(value, what):
     """A JSON number, or nested lists of them, as a float array; a bool,
-    string or null entry (or a shape of another ndim) raises ValueError."""
+    string or null entry raises ValueError."""
     entries = np.asarray(value, dtype=object)
     for v in entries.ravel():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"target file: {what} must hold numbers, got {v!r}")
-    if ndim is not None and entries.ndim != ndim:
-        raise ValueError(f"target file: {what} must be a number, got {value!r}")
     return entries.astype(float)
 
 

@@ -47,6 +47,12 @@ def basis(dim, idx):
     return SymmetricKernel(dim, len(idx), {tuple(sorted(idx)): 1.0})
 
 
+def block_norm_sq(bk):
+    """Unsymmetrized squared norm of a BlockKernel in H^{tensor (n+m-2r)}."""
+    return sum(multiplicity(a) * multiplicity(b) * v * v
+               for (a, b), v in bk.blocks.items())
+
+
 # --- hermite --------------------------------------------------------------------
 
 def test_hermite_low_orders():
@@ -237,7 +243,7 @@ def test_contract_matches_dense_sweep():
         want = dense_contract(dense(a), dense(b), r)
         assert np.allclose(dense_block(got), want, atol=1e-12)
         assert np.allclose(dense(got.symmetrized()), dense_sym(want), atol=1e-12)
-        assert math.isclose(got.norm_sq(), float(np.sum(want**2)),
+        assert math.isclose(block_norm_sq(got), float(np.sum(want**2)),
                             rel_tol=1e-11, abs_tol=1e-12)
 
 

@@ -1,6 +1,7 @@
 """File formats and the command-line interface."""
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from chaoslimits import (
     BUILTIN_FAMILIES,
     SymmetricKernel,
+    classifier,
     cli,
     dumps_struct,
     gamma_fixed_family,
@@ -63,14 +65,6 @@ def test_dumps_struct_deterministic():
 
 # --- target files -----------------------------------------------------------------------------
 
-def test_target_file_lambda_spelling(tmp_path):
-    p = tmp_path / "t.json"
-    p.write_text(json.dumps(
-        {"name": "gamma", "params": {"a": 2.0, "lambda": 1.0}}))
-    t = load_target(p)
-    assert t.coeff.as_tuple() == (0.0, 2.0, 4.0)
-
-
 def test_target_file_custom_grid(tmp_path):
     xs = np.linspace(0.1, 6.0, 60)
     ps = np.exp(-xs)
@@ -90,9 +84,6 @@ def test_target_file_rejections(tmp_path):
     p.write_text(json.dumps({"name": "custom", "density": [[0, 1], [1, 1]]}))
     with pytest.raises(ValueError):
         load_target(p)  # grid too short / support missing
-    p.write_text(json.dumps({"name": "gamma", "params": {"a": 2.0}}))
-    with pytest.raises(ValueError):
-        load_target(p)  # missing lambda
 
 
 # --- sample files -----------------------------------------------------------------------------
@@ -324,21 +315,20 @@ def test_cli_diagnose_rejects_a_single_sample(capsys):
 
 
 def test_cli_diagnose_rejects_non_integer_family_size(capsys):
-    for k in ("2.5", "0"):
+    # --k parses as an int, so 4.0 is rejected rather than read as 4
+    for k, named in (("2.5", "invalid int value: '2.5'"),
+                     ("4.0", "invalid int value: '4.0'"), ("0", "k must be >= 1")):
         code, out, err = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",
                                           "--k", k, "--m", "1", "--name",
                                           "normal", "--gamma", "1"])
-        assert code == 2 and "integer k >= 1" in err and not out
+        assert code == 2 and named in err and not out
 
 
-def test_cli_diagnose_gamma_family_fixed_point(capsys, tmp_path):
-    # --k sizes the family; here the matched Gamma(k/2, 1/2) comes from a file
-    tf = tmp_path / "gamma.json"
-    tf.write_text(json.dumps(
-        {"name": "gamma", "params": {"a": 0.5, "lambda": 0.5}}))
+def test_cli_diagnose_gamma_family_fixed_point(capsys):
+    # --k sizes the family and the matched Gamma(k/2, 1/2) is named by flags
     code, out, _ = run_cli(capsys, ["diagnose", "--family", "gamma_fixed",
-                                    "--k", "1", "--m", "1,2",
-                                    "--target", str(tf)])
+                                    "--k", "1", "--m", "1,2", "--name", "gamma",
+                                    "--a", "0.5", "--lambda", "0.5"])
     assert code == 0
     doc = json.loads(out)
     assert doc["members"][0]["stein_residual_l2_chaos"] == 0.0
@@ -377,8 +367,8 @@ GRID_FILE = str(Path(__file__).parent / "data" / "normal_grid97.json")
     # a target flag with a target file
     (["stein-check", "--target", GRID_FILE, "--gamma", "5"], "--gamma"),
     # both --name and --target
-    (["targets-coeffs", "--name", "beta", "--a", "2", "--b", "3",
-      "--target", "normal", "--gamma", "1"], "--target"),
+    (["stein-check", "--name", "beta", "--a", "2", "--b", "3",
+      "--target", GRID_FILE], "--target"),
     # --k on a family that has no size
     (["diagnose", "--family", "gaussian_clt", "--k", "5", "--m", "2",
       "--name", "normal", "--gamma", "1"], "'k'"),
@@ -388,20 +378,37 @@ GRID_FILE = str(Path(__file__).parent / "data" / "normal_grid97.json")
     (["stein-check", "--name", "gamma", "--a", "nan", "--lambda", "1"],
      "parameter a must be finite"),
     (["targets-coeffs", "--name", "student", "--nu", "inf"], "parameter nu must be finite"),
+    # a non-finite coefficient, named by the classifier, not by the serializer
+    (["classify", "--alpha", "nan", "--beta", "0", "--gamma", "1"],
+     "alpha=nan, beta=0.0, gamma=1.0"),
+    # --target reads a grid file: it is not a second spelling of --name, and a
+    # grid's numeric a(x) has no use in targets-coeffs or diagnose
+    (["stein-check", "--target", "uniform"], "No such file"),
+    (["targets-coeffs", "--name", "normal", "--gamma", "1", "--target", GRID_FILE],
+     "unrecognized arguments: --target"),
+    (["diagnose", "--family", "gaussian_clt", "--m", "2", "--name", "normal",
+      "--gamma", "1", "--target", GRID_FILE], "unrecognized arguments: --target"),
+    # a report goes to stdout (> FILE); only simulate --out writes a file
+    *[(argv + ["--out", os.devnull], "unrecognized arguments: --out") for argv in (
+        ["targets-list"],
+        ["targets-coeffs", "--name", "student", "--nu", "5"],
+        ["classify", "--alpha", "0", "--beta", "2", "--gamma", "4"],
+        ["diagnose", "--family", "gaussian_clt", "--m", "2", "--name", "normal",
+         "--gamma", "1"],
+        ["stein-check", "--name", "uniform"],
+        ["oracle-check", "--seed", "1", "--m", "1"])],
 ])
 def test_cli_rejects_an_input_it_would_drop(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and named in err and not out
 
 
-@pytest.mark.parametrize("value", [True, "2", None, [2.0]])
-def test_cli_target_file_rejects_a_parameter_that_is_not_a_number(capsys, tmp_path,
-                                                                   value):
-    # never read as a number: true was gamma = 1, "2" was 2.0
-    p = tmp_path / "normal.json"
-    p.write_text(json.dumps({"name": "normal", "params": {"gamma": value}}))
-    code, out, err = run_cli(capsys, ["targets-coeffs", "--target", str(p)])
-    assert code == 2 and "'gamma'" in err and not out
+def test_cli_target_file_holds_a_density_grid(capsys, tmp_path):
+    # a named law is given by --name, never by a target file
+    p = tmp_path / "gamma.json"
+    p.write_text(json.dumps({"name": "gamma", "params": {"a": 2.0, "lambda": 1.0}}))
+    code, out, err = run_cli(capsys, ["stein-check", "--target", str(p)])
+    assert code == 2 and "--name" in err and not out
 
 
 def _grid_file_with(tmp_path, field, value):
@@ -457,6 +464,11 @@ def _family_mc(seed):
     (lambda: SymmetricKernel(2, 1, {(True,): 1.0}), "index"),
     (lambda: symmetrize({(0.7, 1): 1.0}, 2, 2), "index"),
     (lambda: symmetrize({(True,): 1.0}, 2, 1), "index"),
+    # nan compares false in every branch test: unchecked, (nan, 0, 1) would be
+    # GaussianOnly and (0, nan, 1) GammaOnly with lambda = nan
+    (lambda: classifier(math.nan, 0.0, 1.0), "alpha=nan"),
+    (lambda: classifier(0.0, math.nan, 1.0), "beta=nan"),
+    (lambda: classifier(0.0, 2.0, math.inf), "gamma=inf"),
 ])
 def test_library_rejects_an_input_it_would_drop(call, named):
     # each is rejected, never truncated (3.7 -> 3, True -> 1) or ignored
