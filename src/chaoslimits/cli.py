@@ -12,7 +12,8 @@ Subcommands
 
 Reports are structured text on stdout with every float at 17 significant
 digits and a ``schema_version`` field.  Exit codes: 0 success, 2 validation
-error (bad flag or file field), 1 numeric failure.  Every stochastic
+error (bad flag or file field), 1 numeric failure or a closed stdout (no
+"error:" line; the rest of the output goes to devnull).  Every stochastic
 subcommand requires ``--seed``; given the same flags the output is
 byte-identical across runs.
 """
@@ -23,6 +24,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -99,8 +101,22 @@ def _resolve_target(args):
 
 
 def _emit(doc):
-    """Print the report, stamped with the schema version."""
-    print(cio.dumps_struct({"schema_version": cio.SCHEMA_VERSION, **doc}))
+    """Print the report, stamped with the schema version, and flush it, so a
+    closed stdout raises here and not at exit."""
+    print(cio.dumps_struct({"schema_version": cio.SCHEMA_VERSION, **doc}), flush=True)
+
+
+def _stdout_to_devnull():
+    """Point stdout's file descriptor, if it has one, at devnull, so the
+    interpreter's flush at exit finds no closed pipe (the Python docs'
+    recipe for SIGPIPE)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -366,6 +382,9 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader of stdout went away: not bad input
+        _stdout_to_devnull()
+        return 1
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,11 +18,13 @@ pair (a, b) is A h = (1/2) a h' + b h; ``stein_solution`` inverts it and
 ``stein_identity_residual`` integrates it against the target.
 
 Densities are closed forms: every named target evaluates its log-density
-with numpy.  The cdf, the ppf (and so exact sampling) and the support come
-from ``scipy.special`` in scipy.stats' own operation order (``_law``), equal
-to the frozen scipy law bit for bit without its generic wrapper; scipy.stats
-is the tests' reference.  A grid target evaluates its log-PCHIP piece by
-piece on a float, as a chain step does.  Every target has a cdf and a ppf.
+with numpy.  The cdf, the ppf and the support come from ``scipy.special`` in
+scipy.stats' own operation order (``_law``), equal to the frozen scipy law
+bit for bit without its generic wrapper; scipy.stats is the tests'
+reference.  Exact draws of a named target come from numpy's own exact
+sampler of its law (``_law`` again); any other target draws by inverse cdf.
+A grid target evaluates its log-PCHIP piece by piece on a float, as a chain
+step does.  Every target has a cdf and a ppf.
 
 Every integral against a target (moments, the grid's mass, mean, cdf and
 a(x), Stein solutions, the Stein identity) reads one table of fixed pieces,
@@ -157,6 +159,8 @@ class TargetMeasure:
     _end_powers: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
     # the integration table (``_PieceTable``), built on the first integral
     _table: object = field(default=None, repr=False, compare=False)
+    # (rng, count) -> count exact draws; None draws by inverse cdf
+    _draw: object = field(default=None, repr=False, compare=False)
 
     def _integrals(self):
         if self._table is None:
@@ -249,8 +253,11 @@ class TargetMeasure:
         return True
 
     def sample_exact(self, count, seed):
-        """Inverse-CDF sampling (independent draws, not the diffusion)."""
+        """Independent draws from the target (not the diffusion): numpy's
+        exact sampler of a named law, else the ppf of seeded uniforms."""
         rng = np.random.default_rng([_check_int("seed", seed), 0x5EED])
+        if self._draw is not None:
+            return self._draw(rng, count)
         return np.asarray(self.ppf(rng.uniform(size=count)), dtype=float)
 
 
@@ -275,14 +282,16 @@ def _closed_form_density(logpdf, support, edges):
     return density
 
 
-def _law(cdf01, ppf01, ends=(-math.inf, math.inf), loc=0.0, scale=1.0):
-    """(support, cdf, ppf) of loc + scale Y, Y having the ``scipy.special``
-    cdf ``cdf01`` and ppf ``ppf01`` on the interval ``ends``.
+def _law(cdf01, ppf01, draw01, ends=(-math.inf, math.inf), loc=0.0, scale=1.0):
+    """(support, cdf, ppf, draw) of loc + scale Y, Y having the
+    ``scipy.special`` cdf ``cdf01`` and ppf ``ppf01`` on the interval
+    ``ends``, and ``draw01(rng, count)`` drawing Y exactly.
 
-    Each step is scipy.stats' own, in its order and with its edge values (0
-    below the support and 1 above it, the ends at q = 0 and 1, nan at nan and
-    for q outside [0, 1]), so a value, and its type, equals the frozen scipy
-    law's bit for bit, without the generic wrapper's cost.
+    Each step of cdf and ppf is scipy.stats' own, in its order and with its
+    edge values (0 below the support and 1 above it, the ends at q = 0 and 1,
+    nan at nan and for q outside [0, 1]), so a value, and its type, equals
+    the frozen scipy law's bit for bit, without the generic wrapper's cost.
+    ``draw(rng, count)`` maps the draws of Y as ppf maps ppf01, in place.
     """
     a, b = ends
     support = (a * scale + loc, b * scale + loc)
@@ -305,7 +314,13 @@ def _law(cdf01, ppf01, ends=(-math.inf, math.inf), loc=0.0, scale=1.0):
         out[inside] = ppf01(q[inside]) * scale + loc
         return out[()] if out.ndim == 0 else out
 
-    return support, cdf, ppf
+    def draw(rng, count):
+        out = draw01(rng, count)
+        out *= scale
+        out += loc
+        return out
+
+    return support, cdf, ppf, draw
 
 
 def _finite(**params):
@@ -321,11 +336,11 @@ def _finite(**params):
 
 def _named_target(name, law, logpdf, coeff, params, ends=((0.0, 0.0), (0.0, 0.0)),
                   moment_bound=math.inf, mean_shift=0.0):
-    """Named target: closed-form density and the support, cdf and ppf of
-    ``law`` (from ``_law``).  ``ends`` holds (e, c) for each end, where the
-    density behaves as c d^e in the distance d to it: its value there is
-    inf, c or 0, and the table integrates against d^e beside it."""
-    support, cdf, ppf = law
+    """Named target: closed-form density and the support, cdf, ppf and exact
+    draws of ``law`` (from ``_law``).  ``ends`` holds (e, c) for each end,
+    where the density behaves as c d^e in the distance d to it: its value
+    there is inf, c or 0, and the table integrates against d^e beside it."""
+    support, cdf, ppf, draw = law
     edges = tuple(math.inf if e < 0 else c if e == 0 else 0.0 for e, c in ends)
     return TargetMeasure(
         name=name,
@@ -338,6 +353,7 @@ def _named_target(name, law, logpdf, coeff, params, ends=((0.0, 0.0), (0.0, 0.0)
         moment_bound=moment_bound,
         mean_shift=mean_shift,
         _end_powers=tuple(e for e, _ in ends),
+        _draw=draw,
     )
 
 
@@ -349,7 +365,8 @@ def normal_target(gamma=1.0):
     s = math.sqrt(g)
     c = -math.log(s) - 0.5 * math.log(2.0 * math.pi)
     return _named_target(
-        "normal", _law(special.ndtr, special.ndtri, scale=s),
+        "normal", _law(special.ndtr, special.ndtri,
+                       lambda rng, n: rng.standard_normal(n), scale=s),
         lambda x: c - 0.5 * (x / s) ** 2,
         DiffusionCoefficient.polynomial(0.0, 0.0, 2.0 * g),
         {"gamma": g},
@@ -366,7 +383,8 @@ def student_target(nu):
          - 0.5 * (math.log(nu) + math.log(math.pi)))
     return _named_target(
         "student",
-        _law(lambda y: special.stdtr(nu, y), lambda q: special.stdtrit(nu, q)),
+        _law(lambda y: special.stdtr(nu, y), lambda q: special.stdtrit(nu, q),
+             lambda rng, n: rng.standard_t(nu, n)),
         lambda x: c - 0.5 * (nu + 1.0) * np.log1p(x * x / nu),
         DiffusionCoefficient.polynomial(al, 0.0, 2.0 * nu / (nu - 1.0)),
         {"nu": nu}, moment_bound=nu,
@@ -385,7 +403,7 @@ def pareto_target(nu):
     return _named_target(
         "pareto",
         _law(lambda y: 1 - y ** (-nu), lambda q: pow(1 - q, -1.0 / nu),
-             (1.0, math.inf), loc=loc),
+             lambda rng, n: 1.0 + rng.pareto(nu, n), (1.0, math.inf), loc=loc),
         lambda x: log_nu - (nu + 1.0) * np.log(x - loc),
         DiffusionCoefficient.polynomial(c, c * (1.0 + 2.0 * m), c * m * (1.0 + m)),
         {"nu": nu}, ((0.0, nu), (0.0, 0.0)), moment_bound=nu, mean_shift=m,
@@ -408,7 +426,8 @@ def gamma_target(a, lam):
     return _named_target(
         "gamma",
         _law(lambda y: special.gammainc(a, y), lambda q: special.gammaincinv(a, q),
-             (0.0, math.inf), loc=-m, scale=scale),
+             lambda rng, n: rng.standard_gamma(a, n), (0.0, math.inf),
+             loc=-m, scale=scale),
         logpdf,
         DiffusionCoefficient.polynomial(0.0, 2.0 / lam, 2.0 * a / lam**2),
         {"a": a, "lam": lam}, ((a - 1.0, 1.0 / scale), (0.0, 0.0)), mean_shift=m,
@@ -434,6 +453,7 @@ def inverse_gamma_target(delta, lam):
         "inverse_gamma",
         _law(lambda y: special.gammaincc(lam, 1.0 / y),
              lambda q: 1.0 / special.gammainccinv(lam, q),
+             lambda rng, n: 1.0 / rng.standard_gamma(lam, n),
              (0.0, math.inf), loc=-m, scale=delta),
         logpdf,
         DiffusionCoefficient.polynomial(c, 2.0 * c * m, c * m * m),
@@ -459,7 +479,7 @@ def fdist_target(a, b):
     return _named_target(
         "f",
         _law(lambda y: special.fdtr(a, b, y), lambda q: special.fdtri(a, b, q),
-             (0.0, math.inf), loc=-m),
+             lambda rng, n: rng.f(a, b, n), (0.0, math.inf), loc=-m),
         logpdf,
         DiffusionCoefficient.polynomial(
             k * a, k * (b + 2.0 * a * m), k * m * (b + a * m)
@@ -472,7 +492,8 @@ def fdist_target(a, b):
 def uniform_centered_target():
     """Uniform on (-1/2, 1/2): a(x) = 1/4 - x^2."""
     return _named_target(
-        "uniform", _law(lambda y: y, lambda q: q, (0.0, 1.0), loc=-0.5),
+        "uniform", _law(lambda y: y, lambda q: q, lambda rng, n: rng.uniform(size=n),
+                        (0.0, 1.0), loc=-0.5),
         lambda x: 0.0,
         DiffusionCoefficient.polynomial(-1.0, 0.0, 0.25), {},
         ((0.0, 1.0), (0.0, 1.0)), mean_shift=0.5,
@@ -498,7 +519,7 @@ def beta_target(a, b):
     return _named_target(
         "beta",
         _law(lambda y: special.betainc(a, b, y), lambda q: special.betaincinv(a, b, q),
-             (0.0, 1.0), loc=-m),
+             lambda rng, n: rng.beta(a, b, n), (0.0, 1.0), loc=-m),
         logpdf,
         DiffusionCoefficient.polynomial(-c, c * (b - a) / s, c * a * b / s**2),
         {"a": a, "b": b}, ((a - 1.0, b), (b - 1.0, a)), mean_shift=m,

@@ -4,7 +4,10 @@ re-exports only names its modules list.  The benchmark's tracer wraps each
 name would otherwise go unnoticed."""
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,3 +31,11 @@ def test_package_imports_only_listed_names():
     for node in imports:
         listed = importlib.import_module(f"chaoslimits.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in listed] == [], node.module
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second to import and no program path needs it
+    code = "import sys, chaoslimits.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = pathlib.Path(chaoslimits.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

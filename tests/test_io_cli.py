@@ -1,7 +1,9 @@
 """File formats and the command-line interface."""
+import io
 import json
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -268,6 +270,21 @@ def test_cli_error_exit_codes(capsys, tmp_path):
                                     "--samples", "10", "--burn-in", "10",
                                     "--seed", "1"])
     assert code == 1 and "numeric failure" in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_closed_stdout_is_not_bad_input(capsys, monkeypatch):
+    # a closed stdout is no validation error: exit 1 and no "error:" line
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["classify", "--alpha", "0", "--beta", "2", "--gamma", "4"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):

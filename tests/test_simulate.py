@@ -234,6 +234,20 @@ def test_wasserstein_two_samples_same_law():
     assert wasserstein1_distance(a, b) < 0.05
 
 
+def test_wasserstein_equals_scipy_bit_for_bit():
+    # scipy.stats is the oracle: seeded pairs of unequal sizes down to 2,
+    # every third pair on a coarse lattice so the two samples share ties
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        n, m = (2, 2) if trial < 10 else rng.integers(2, 5001, size=2)
+        if trial % 3 == 0:
+            u, v = rng.integers(0, 20, n) * 0.5, rng.integers(0, 30, m) * 0.25
+        else:
+            u, v = rng.standard_normal(n), 1.3 * rng.standard_normal(m) + 0.1
+        got = wasserstein1_distance(EmpiricalDistribution(u), EmpiricalDistribution(v))
+        assert got == scipy.stats.wasserstein_distance(u, v), (trial, n, m)
+
+
 # --- empirical Stein checks ------------------------------------------------------------------
 
 def test_stein_residual_empirical_on_exact_samples():

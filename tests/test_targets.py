@@ -13,11 +13,13 @@ from numpy.polynomial import Polynomial
 from chaoslimits import (
     NAMED_TARGETS,
     DiffusionCoefficient,
+    EmpiricalDistribution,
     TargetMeasure,
     beta_target,
     fdist_target,
     gamma_target,
     inverse_gamma_target,
+    ks_distance,
     moment_table,
     named_target,
     normal_target,
@@ -189,7 +191,8 @@ def test_named_targets_make_no_scipy_stats_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a scipy.stats distribution method was called")
 
-    for name in ("cdf", "ppf", "pdf", "logpdf", "sf", "isf", "support", "freeze"):
+    for name in ("cdf", "ppf", "pdf", "logpdf", "sf", "isf", "support", "freeze",
+                 "rvs"):
         monkeypatch.setattr(scipy.stats.rv_continuous, name, refuse)
     for target in (normal_target(2.0), student_target(5.0), pareto_target(3.0),
                    gamma_target(2.0, 1.0), inverse_gamma_target(3.0, 5.0),
@@ -377,6 +380,34 @@ def test_student_moment_bound():
 
 
 # --- exact sampling and grids ---------------------------------------------------------
+
+# one target per named law, with numpy's exact sampler of that law
+EXACT_DRAW_TARGETS = [normal_target(2.0), student_target(5.0), pareto_target(3.0),
+                      gamma_target(0.5, 2.0), inverse_gamma_target(3.0, 5.0),
+                      fdist_target(6.0, 10.0), uniform_centered_target(),
+                      beta_target(0.5, 2.0)]
+
+
+@pytest.mark.parametrize("target", EXACT_DRAW_TARGETS, ids=lambda t: t.name)
+def test_named_exact_draws_are_seeded_and_calibrated(target):
+    n = 20_000
+    draws = target.sample_exact(n, seed=5)
+    assert draws.shape == (n,) and draws.dtype == np.float64
+    assert np.array_equal(draws, target.sample_exact(n, seed=5))
+    assert not np.array_equal(draws, target.sample_exact(n, seed=6))
+    l, u = target.support
+    assert np.all((draws >= l) & (draws <= u))
+    # Kolmogorov distance inside the DKW band at 99.9%
+    ks = ks_distance(EmpiricalDistribution(draws), target)
+    assert ks < math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
+
+
+def test_grid_exact_draws_are_the_ppf_of_seeded_uniforms():
+    xs = np.linspace(-6.0, 6.0, 97)
+    t = target_from_density_grid(xs, np.exp(-0.5 * xs**2))
+    uniforms = np.random.default_rng([8, 0x5EED]).uniform(size=500)
+    assert np.array_equal(t.sample_exact(500, seed=8), t.ppf(uniforms))
+
 
 def test_sample_exact_deterministic_and_calibrated():
     t = gamma_target(2.0, 1.0)
