@@ -32,6 +32,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +104,7 @@ def _counts(idx):
 def _check_index(idx, order, dim):
     if len(idx) != order:
         raise ValueError(f"index {idx!r} has length {len(idx)}, expected {order}")
-    if any(idx[i] > idx[i + 1] for i in range(len(idx) - 1)):
+    if any(map(operator.gt, idx, idx[1:])):
         raise ValueError(f"index {idx!r} is not sorted")
     if idx and (idx[0] < 0 or idx[-1] >= dim):
         raise ValueError(f"index {idx!r} out of range for dim {dim}")
@@ -125,18 +126,17 @@ class SymmetricKernel:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim < 0 or self.order < 0:
-            raise ValueError("dim and order must be nonnegative")
+        dim, order = _check_int("dim", self.dim), _check_int("order", self.order)
         clean = {}
         for idx, val in self.entries.items():
-            idx = tuple(_check_int("index", i) for i in idx)
-            _check_index(idx, self.order, self.dim)
+            if type(idx) is not tuple or not all(type(i) is int for i in idx):
+                idx = tuple(_check_int("index", i) for i in idx)
+            _check_index(idx, order, dim)
             val = float(val)
             if val != 0.0:
                 clean[idx] = val
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "_self_contractions", {})
-        object.__setattr__(self, "_norm_sq", None)
+        vars(self).update(dim=dim, order=order, entries=clean,
+                          _self_contractions={}, _norm_sq=None)
 
     @classmethod
     def _trusted(cls, dim, order, entries):
@@ -555,20 +555,21 @@ def wick_moment(factors, powers):
 
     Splits the expanded factor list in half, multiplies each half with the
     product formula, and pairs the halves with the isometry (the level-0
-    read-off of the full product, done one multiplication earlier).  Guarded
-    to at most 12 chaos factors.
+    read-off of the full product, done one multiplication earlier).  When
+    the right half is the same factor objects as the left, as for
+    ``wick_moment([f], [4])``, the left product serves both.  Each power must
+    be an integer >= 0, and there may be at most 12 chaos factors.
     """
     if len(powers) != len(factors):
         raise ValueError("factors and powers length mismatch")
     flat = []
     for f, p in zip(factors, powers):
-        if p < 0:
-            raise ValueError("powers must be nonnegative")
+        p = _check_int("power", p)
+        if len(flat) + p > 12:
+            raise ValueError("wick_moment limited to 12 chaos factors")
         flat.extend([_vector(f)] * p)
     if not flat:
         return 1.0
-    if len(flat) > 12:
-        raise ValueError("wick_moment limited to 12 chaos factors")
 
     def fold(vecs):
         acc = vecs[0]
@@ -580,7 +581,10 @@ def wick_moment(factors, powers):
     left, right = flat[:half], flat[half:]
     if not right:
         return fold(left).expectation()
-    return expect_product(fold(left), fold(right))
+    product = fold(left)
+    if len(left) == len(right) and all(a is b for a, b in zip(left, right)):
+        return expect_product(product, product)
+    return expect_product(product, fold(right))
 
 
 # Points per seeded chunk of a Gaussian stream.
@@ -607,8 +611,10 @@ def iter_gaussian_chunks(dim, count, seed, rows=_CHUNK_ROWS):
 
 
 def _check_int(name, value, least=0):
-    """``value`` as an int >= ``least``, or a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """``value`` as an int >= ``least``, or a ValueError naming ``name``.
+    A plain int skips the ``numbers.Integral`` check (an ABC lookup)."""
+    if type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")

@@ -6,7 +6,8 @@ representation or the Gauss-Legendre grid table under test.  Two exceptions:
 ``eval_integral_ref`` reads the package's Hermite table, and the last section
 holds the Stein residual and the energy gap in full chaos arithmetic (a(F)
 expanded with the product formula), the references for the scalar routes in
-``chaoslimits.diagnostics``.
+``chaoslimits.diagnostics``, and the kernel-operator forms of the residual
+and the Gamma kernel gap that their one-pass routes must match bit for bit.
 """
 import collections
 import itertools
@@ -17,11 +18,13 @@ from scipy import integrate
 
 from chaoslimits.chaos import (
     ChaosVector,
+    SymmetricKernel,
     _hermite_monic_table,
     chaos_product,
     expect_product,
     malliavin_inner,
 )
+from chaoslimits.diagnostics import _contraction_weights, c_n
 
 
 def raw_to_dense(raw, dim, order):
@@ -336,6 +339,43 @@ def level_residual(f, coeff):
         else:
             total += 0.25 * math.factorial(k) * gk.norm_sq()
     return total
+
+
+def operator_residual(f, coeff):
+    """The exact Stein residual's level sum with kernel operators: each even
+    level k < 2n is k! ||0.5 g_k - coefficient f ~x_r f||^2 on
+    ``SymmetricKernel`` objects, as ``stein_residual_l2`` formed it before its
+    one-pass levels; the odd level n and the top level as there.  The one-pass
+    route must give these bits."""
+    alpha, beta, gamma = (float(c) for c in coeff)
+    n = f.order
+    total = 0.0
+    for k in range(2 * n):
+        if k % 2 == 0:
+            r = n - k // 2
+            s = f.self_contraction(r)
+            g = SymmetricKernel._trusted(f.dim, k, {(): gamma} if k == 0 else {})
+            if k == n and beta:
+                g = g + beta * f
+            if alpha:
+                g = g + alpha * (math.factorial(r) * math.comb(n, r) ** 2 * s)
+            coefficient = n * math.factorial(r - 1) * math.comb(n - 1, r - 1) ** 2
+            total += math.factorial(k) * (0.5 * g - coefficient * s).norm_sq()
+        elif k == n and beta:
+            total += 0.25 * math.factorial(n) * (beta * f).norm_sq()
+    if alpha:
+        ef2 = f.scaled_norm_sq()
+        total += 0.25 * alpha**2 * sum(
+            ((3.0 * r / n - 1.0) * w for r, w in _contraction_weights(f).items()),
+            2.0 * ef2 * ef2)
+    return total
+
+
+def operator_gamma_gap(f, lam):
+    """|| (2/lam) c_n f - f ~x_{n/2} f || with kernel operators, as
+    ``gamma_kernel_gap`` formed it before its one pass."""
+    n = f.order
+    return ((2.0 / lam) * c_n(n) * f - f.self_contraction(n // 2)).norm()
 
 
 def chaos_prop24_gap(f, coeff):

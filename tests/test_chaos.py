@@ -124,6 +124,24 @@ def test_kernel_rejects_bad_indices():
         SymmetricKernel(3, 2, {(0, 3): 1.0})  # out of range
     with pytest.raises(ValueError):
         SymmetricKernel(3, 2, {(0, 1, 2): 1.0})  # wrong length
+    # plain int indices skip only the conversion; every other check still runs
+    with pytest.raises(ValueError, match="index must be an integer"):
+        SymmetricKernel(3, 1, {(True,): 1.0})
+    with pytest.raises(ValueError, match="index must be an integer"):
+        SymmetricKernel(3, 1, {(1.0,): 1.0})
+    with pytest.raises(ValueError, match="out of range"):
+        SymmetricKernel(3, 2, {(-1, 0): 1.0})
+    for dim, order in ((3, 2.0), (2.5, 2), (True, 1), (3, True), (-1, 1), (3, -1)):
+        with pytest.raises(ValueError, match="dim|order"):
+            SymmetricKernel(dim, order, {})
+
+
+def test_kernel_converts_numpy_int_indices_and_shape():
+    k = SymmetricKernel(np.int64(3), np.int32(2), {(np.int64(0), np.int32(2)): 1.5})
+    assert type(k.dim) is int and type(k.order) is int
+    assert all(type(idx) is tuple and all(type(i) is int for i in idx)
+               for idx in k.entries)
+    assert k == SymmetricKernel(3, 2, {(0, 2): 1.5})
 
 
 def test_kernel_prunes_exact_zeros():
@@ -468,6 +486,22 @@ def test_wick_moment_edge_cases():
         wick_moment([e], [13])
     with pytest.raises(ValueError):
         wick_moment([e], [2, 2])
+    for power in (2.5, True, -1):
+        with pytest.raises(ValueError, match="power"):
+            wick_moment([e], [power])
+
+
+def test_wick_moment_equal_halves_reuse_one_product():
+    rng = np.random.default_rng(73)
+    for _ in range(10):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        f = random_kernel(rng, d, n, int(rng.integers(1, 7)))
+        g = random_kernel(rng, d, int(rng.integers(1, 4)), int(rng.integers(1, 7)))
+        F, G = ChaosVector.from_kernel(f), ChaosVector.from_kernel(g)
+        P = chaos_product(F, F)
+        assert wick_moment([f], [4]) == expect_product(P, P)
+        # distinct halves keep the two-fold product of each
+        assert wick_moment([f, g], [2, 2]) == expect_product(P, chaos_product(G, G))
 
 
 # --- malliavin operators ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from chaoslimits import (
@@ -41,7 +41,13 @@ from chaoslimits import (
     wick_moment,
 )
 
-from oracles import chaos_prop24_gap, gauss_hermite_expectation, level_residual
+from oracles import (
+    chaos_prop24_gap,
+    gauss_hermite_expectation,
+    level_residual,
+    operator_gamma_gap,
+    operator_residual,
+)
 
 
 # --- combinatorial constants -----------------------------------------------------------
@@ -272,6 +278,54 @@ def test_scalar_routes_match_chaos_oracles(n, d, nnz, seed, alpha, beta, gamma):
                         rel_tol=1e-10, abs_tol=1e-12)
     assert math.isclose(prop24_gap(f, coeff), chaos_prop24_gap(f, coeff),
                         rel_tol=1e-10, abs_tol=1e-12)
+
+
+# 0, or a finite float m 2^e down to the smallest subnormals, so that
+# products with the coefficient underflow to exact zeros
+_COEFFICIENT = hst.one_of(
+    hst.just(0.0), hst.sampled_from([5e-324, -5e-324, 1e-323]),
+    hst.builds(math.ldexp, hst.floats(-1.0, 1.0), hst.integers(-1080, 10)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# found by random search: an entry whose product underflows moves in the sum
+# order (beta f at level n; the s-only half; the half of g at level n)
+@example(n=2, d=5, nnz=12, seed=1704, scale=1.0, alpha=3.6323197209907585e-33,
+         beta=5e-324, gamma=0.0, lam=1.0)
+@example(n=3, d=5, nnz=4, seed=639, scale=1.0, alpha=5e-324,
+         beta=0.2706262083736526, gamma=2.931370764739681e-18, lam=1.0)
+@example(n=2, d=2, nnz=10, seed=1889, scale=1.0, alpha=0.0, beta=5e-324,
+         gamma=6.2171131009188235e-77, lam=1.0)
+@given(n=hst.integers(1, 4), d=hst.integers(1, 6), nnz=hst.integers(1, 12),
+       seed=hst.integers(0, 2**32 - 1), scale=hst.sampled_from([1.0, 1e-160]),
+       alpha=_COEFFICIENT, beta=_COEFFICIENT, gamma=_COEFFICIENT,
+       lam=hst.floats(0.01, 100.0))
+def test_one_pass_levels_match_the_kernel_operator_form(
+        n, d, nnz, seed, scale, alpha, beta, gamma, lam):
+    # scale 1e-160 puts f ~x_r f among the subnormals, so products underflow
+    # to exact zeros that the kernel operators drop
+    f = random_kernel(np.random.default_rng(seed), d, n, nnz)
+    f = SymmetricKernel(d, n, {idx: scale * v for idx, v in f.entries.items()})
+    coeff = (alpha, beta, gamma)
+    assert stein_residual_l2(f, coeff) == operator_residual(f, coeff)
+    if n % 2 == 0:
+        assert gamma_kernel_gap(f, lam) == operator_gamma_gap(f, lam)
+
+
+def test_one_pass_levels_match_the_kernel_operator_form_at_fixed_points():
+    # exact cancellation drops entries mid-chain: beta f + alpha 4 (f ~x_1 f)
+    # is 0 at level 2 for f = e_0 (x) e_0 and beta = -4 alpha
+    f = SymmetricKernel(1, 2, {(0, 0): 1.0})
+    assert stein_residual_l2(f, (0.5, -2.0, 1.0)) == operator_residual(f, (0.5, -2.0, 1.0))
+    # and at the Gamma fixed points, in the last step
+    for k in (1, 2, 3, 5):
+        for c in (0.25, 0.5, 1.0, 2.0, 0.3, 7.3):
+            f = SymmetricKernel(k, 2, {(i, i): c for i in range(k)})
+            target = gamma_target(k / 2.0, 1.0 / (2.0 * c))
+            coeff = target.coeff.as_tuple()
+            assert stein_residual_l2(f, coeff) == operator_residual(f, coeff)
+            lam = target.params["lam"]
+            assert gamma_kernel_gap(f, lam) == operator_gamma_gap(f, lam)
 
 
 def test_stein_residual_is_a_sum_of_squares_at_gamma_fixed_points():
