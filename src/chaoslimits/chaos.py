@@ -110,6 +110,36 @@ def _check_index(idx, order, dim):
         raise ValueError(f"index {idx!r} out of range for dim {dim}")
 
 
+# --- entry-dict arithmetic ------------------------------------------------
+# A kernel's entries map sorted indices to nonzero floats.  These three steps
+# are the kernel operators on such dicts: each gives the values, and the entry
+# order, of the operator it stands for, with no kernel built in between.
+
+def _scaled(entries, c):
+    """The entries of c f without its exact zeros, as ``c * f`` gives them."""
+    c = float(c)
+    return {idx: w for idx, v in entries.items() if (w := c * v) != 0.0}
+
+
+def _add_into(acc, entries, c):
+    """acc += c f in place, with the values and entry order of ``acc + c * f``
+    on kernels: a term c v that is an exact zero is skipped, and a sum that
+    is an exact zero (cancellation, underflow) is removed at once."""
+    c = float(c)
+    for idx, v in entries.items():
+        if (w := c * v) != 0.0:
+            if (s := acc.get(idx, 0.0) + w) != 0.0:
+                acc[idx] = s
+            else:
+                del acc[idx]
+    return acc
+
+
+def _norm_sq(entries):
+    """sum of mult(idx) v^2, the squared norm of a kernel's entries."""
+    return sum(multiplicity(idx) * v * v for idx, v in entries.items())
+
+
 @dataclass(frozen=True)
 class SymmetricKernel:
     """Sparse symmetric tensor of given order over R^dim.
@@ -165,16 +195,14 @@ class SymmetricKernel:
         if (other.dim, other.order) != (self.dim, self.order):
             raise ValueError("kernel shapes differ")
         out = dict(self.entries)
-        for idx, v in other.entries.items():
-            out[idx] = out.get(idx, 0.0) + v
+        _add_into(out, other.entries, 1.0)
         return self._like(out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, c):
-        c = float(c)
-        return self._like({idx: c * v for idx, v in self.entries.items()})
+        return self._like(_scaled(self.entries, c))
 
     def __mul__(self, c):
         return self.__rmul__(c)
@@ -183,8 +211,7 @@ class SymmetricKernel:
     def norm_sq(self):
         """||f||^2, summed on first use and kept on this kernel."""
         if self._norm_sq is None:
-            object.__setattr__(self, "_norm_sq", sum(
-                multiplicity(idx) * v * v for idx, v in self.entries.items()))
+            object.__setattr__(self, "_norm_sq", _norm_sq(self.entries))
         return self._norm_sq
 
     def norm(self):
@@ -473,15 +500,13 @@ def _vector(F):
     return ChaosVector.from_kernel(F) if isinstance(F, SymmetricKernel) else F
 
 
-def _contracted(f, g, r):
-    """f ~x_r g, read from f's memo when g is f itself."""
-    return f.self_contraction(r) if f is g else contract(f, g, r).symmetrized()
+def _product_levels(F, G, first):
+    """Levels of sum r! C(n,r) C(m,r) I_{n+m-2r}(f_n ~x_r g_m) over the level
+    pairs of F and G and r >= ``first`` (0 or 1), term r weighted by r**first.
 
-
-def chaos_product(F, G):
-    """Product of two chaos vectors via the multiplication formula
-
-    I_n(f) I_m(g) = sum_{r=0}^{n^m} r! C(n,r) C(m,r) I_{n+m-2r}(f (x)_r g).
+    Each level's entries accumulate in place (``_add_into``) in (n, m, r)
+    order, the values and order of adding the terms up as kernels.  f ~x_r g
+    is read from f's memo when g is f itself.
     """
     F, G = _vector(F), _vector(G)
     if F.dim != G.dim:
@@ -489,12 +514,20 @@ def chaos_product(F, G):
     out = {}
     for n, fn in F.components.items():
         for m, gm in G.components.items():
-            for r in range(min(n, m) + 1):
-                coef = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
-                h = coef * _contracted(fn, gm, r)
-                lvl = n + m - 2 * r
-                out[lvl] = out[lvl] + h if lvl in out else h
-    return ChaosVector(F.dim, out)
+            for r in range(first, min(n, m) + 1):
+                h = fn.self_contraction(r) if fn is gm else contract(fn, gm, r).symmetrized()
+                coef = r**first * math.factorial(r) * math.comb(n, r) * math.comb(m, r)
+                _add_into(out.setdefault(n + m - 2 * r, {}), h.entries, coef)
+    return ChaosVector(F.dim, {k: SymmetricKernel._trusted(F.dim, k, e)
+                               for k, e in out.items()})
+
+
+def chaos_product(F, G):
+    """Product of two chaos vectors via the multiplication formula
+
+    I_n(f) I_m(g) = sum_{r=0}^{n^m} r! C(n,r) C(m,r) I_{n+m-2r}(f (x)_r g).
+    """
+    return _product_levels(F, G, 0)
 
 
 def expect_product(F, G):
@@ -519,27 +552,12 @@ def malliavin_inner(F, G):
     expanding each product with the multiplication formula and summing over i
     collapses the coordinate sum into contractions of the full kernels:
 
-        n m sum_{r=0}^{min(n,m)-1} r! C(n-1,r) C(m-1,r) I_{n+m-2-2r}(f (x)_{r+1} g).
+        n m sum_{r=1}^{min(n,m)} (r-1)! C(n-1,r-1) C(m-1,r-1) I_{n+m-2r}(f (x)_r g),
+
+    the product formula's terms r >= 1 weighted by r, since
+    n m (r-1)! C(n-1,r-1) C(m-1,r-1) = r r! C(n,r) C(m,r).
     """
-    F, G = _vector(F), _vector(G)
-    if F.dim != G.dim:
-        raise ValueError("dims differ")
-    out = {}
-    for n, fn in F.components.items():
-        if n == 0:
-            continue
-        for m, gm in G.components.items():
-            if m == 0:
-                continue
-            for r in range(min(n, m)):
-                coef = (
-                    n * m * math.factorial(r)
-                    * math.comb(n - 1, r) * math.comb(m - 1, r)
-                )
-                h = coef * _contracted(fn, gm, r + 1)
-                lvl = n + m - 2 - 2 * r
-                out[lvl] = out[lvl] + h if lvl in out else h
-    return ChaosVector(F.dim, out)
+    return _product_levels(F, G, 1)
 
 
 def ou_inverse(F):
@@ -571,20 +589,14 @@ def wick_moment(factors, powers):
     if not flat:
         return 1.0
 
-    def fold(vecs):
-        acc = vecs[0]
-        for v in vecs[1:]:
-            acc = chaos_product(acc, v)
-        return acc
-
     half = (len(flat) + 1) // 2
     left, right = flat[:half], flat[half:]
+    product = functools.reduce(chaos_product, left)
     if not right:
-        return fold(left).expectation()
-    product = fold(left)
+        return product.expectation()
     if len(left) == len(right) and all(a is b for a, b in zip(left, right)):
         return expect_product(product, product)
-    return expect_product(product, fold(right))
+    return expect_product(product, functools.reduce(chaos_product, right))
 
 
 # Points per seeded chunk of a Gaussian stream.

@@ -34,15 +34,17 @@ from .chaos import (
     chaos_product,
     contract,  # noqa: F401  (re-exported as chaoslimits.diagnostics.contract)
     _Gather,
+    _add_into,
     _block_rows,
     _check_int,
     _counts,
+    _norm_sq,
     _row_sum,
+    _scaled,
     _table,
     expect_product,
     iter_gaussian_chunks,
     malliavin_inner,
-    multiplicity,
 )
 
 __all__ = [
@@ -276,73 +278,35 @@ def stein_residual_l2(f, coeff):
     g_k = alpha r! C(n,r)^2 f ~x_r f (+ beta f at k = n, + gamma at k = 0); odd n
     adds n! ||beta f||^2 / 4, and level 2n alpha^2/4 (2n)! ||f ~x_0 f||^2 =
     alpha^2/4 (2 E[F^2]^2 + sum (3r/n - 1) w_r).  Unlike the moment form, the
-    sum cannot cancel below zero.  Each level is one pass over the entries of
-    gamma or beta f and of the memoized f ~x_r f (``_combination_norm_sq``),
-    with no intermediate kernel and the bits of the kernel-operator form."""
+    sum cannot cancel below zero.  Each level takes the kernel operators'
+    steps on entry dicts (``chaos._scaled``, ``chaos._add_into``) around the
+    memoized f ~x_r f, so it has the bits of the kernel-operator form."""
     alpha, beta, gamma = _as_coeff_tuple(coeff)
     n = f.order
     if n == 0:
         raise ValueError("needs a kernel of order >= 1")
-    beta_f = _scaled(f.entries, beta) if beta else {}
     total = 0.0
     for k in range(2 * n):
         if k % 2 == 0:
             r = n - k // 2
-            if k == 0:
-                g = {(): gamma} if gamma else {}
-            else:
-                g = beta_f if k == n else {}
-            total += math.factorial(k) * _combination_norm_sq(
-                g, f.self_contraction(r).entries,
-                float(n * math.factorial(r - 1) * math.comb(n - 1, r - 1) ** 2),
-                0.5, float(alpha), float(math.factorial(r) * math.comb(n, r) ** 2))
+            s = f.self_contraction(r).entries
+            g = {(): gamma} if k == 0 and gamma else {}
+            if k == n and beta:
+                _add_into(g, f.entries, beta)
+            if alpha:
+                _add_into(g, _scaled(s, math.factorial(r) * math.comb(n, r) ** 2), alpha)
+            # 0.5 g - c s, with (-c) v the bits of -(c v)
+            g = _add_into(_scaled(g, 0.5), s,
+                          -n * math.factorial(r - 1) * math.comb(n - 1, r - 1) ** 2)
+            total += math.factorial(k) * _norm_sq(g)
         elif k == n and beta:
-            total += 0.25 * math.factorial(n) * sum(
-                multiplicity(idx) * v * v for idx, v in beta_f.items())
+            total += 0.25 * math.factorial(n) * _norm_sq(_scaled(f.entries, beta))
     if alpha:
         ef2 = f.scaled_norm_sq()
         total += 0.25 * alpha**2 * sum(
             ((3.0 * r / n - 1.0) * w for r, w in _contraction_weights(f).items()),
             2.0 * ef2 * ef2)
     return total
-
-
-def _scaled(entries, c):
-    """The entries of c f without its exact zeros, as ``c * f`` gives them."""
-    c = float(c)
-    return {idx: w for idx, v in entries.items() if (w := c * v) != 0.0}
-
-
-def _combination_norm_sq(g, s, coefficient, scale=1.0, alpha=0.0, c=0.0):
-    """||scale (g + alpha (c s)) - coefficient s||^2 for the entry maps g
-    (nonzero values) and s of one kernel shape, building no kernel.
-
-    Each value takes the operations of the kernel-operator form
-    (``scale * (g + alpha * (c * s)) - coefficient * s``) in its order, and
-    the squares are summed in that form's entry order.  The entries where
-    scale (g + alpha (c s)) is not an exact zero come first, those of g
-    before those of s alone; the other entries of s follow.  So an exact
-    zero (cancellation, a zero factor or underflow) moves its entry back, as
-    ``SymmetricKernel._trusted`` dropping it does.
-    """
-    out = {}
-    for idx, v in g.items():
-        sv = s.get(idx)
-        if alpha and sv is not None:
-            v += alpha * (c * sv)
-        if (v := scale * v) != 0.0:
-            out[idx] = v
-    rest = {}
-    for idx, sv in s.items():
-        w = coefficient * sv
-        if idx in out:
-            out[idx] -= w
-        elif alpha and idx not in g and (h := scale * (alpha * (c * sv))) != 0.0:
-            out[idx] = h - w
-        else:
-            rest[idx] = -w
-    out.update(rest)
-    return sum(multiplicity(idx) * v * v for idx, v in out.items())
 
 
 def stein_residual_l2_direct(f, coeff):
@@ -461,8 +425,9 @@ def lemma_l2_combination(f, coeff):
 def gamma_kernel_gap(f, lam):
     """|| (2/lam) c_n f - f ~x_{n/2} f ||: zero iff f is a Gamma fixed point."""
     n = f.order
-    return math.sqrt(_combination_norm_sq(
-        _scaled(f.entries, (2.0 / lam) * c_n(n)), f.self_contraction(n // 2).entries, 1.0))
+    g = _add_into(_scaled(f.entries, (2.0 / lam) * c_n(n)),
+                  f.self_contraction(n // 2).entries, -1.0)
+    return math.sqrt(_norm_sq(g))
 
 
 def lemma_l11_gap(f, coeff):

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .chaos import _check_int, iter_gaussian_chunks
+from .diagnostics import _mean_stderr
 from .targets import _inset_bounds, _stein_operator
 
 __all__ = [
@@ -53,8 +54,8 @@ class SimConfig:
     seed: int = None
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ValueError("dt must be positive")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         for name, least in (("burn_in", 0), ("samples", 2), ("thinning", 1),
                             ("seed", 0)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), least))
@@ -186,11 +187,6 @@ def stein_residual_empirical(e, target, h, dh):
     stderr away from 0 rejects the sample as target-distributed.
     """
     return _mean_stderr(_stein_operator(target, h, dh)(e.values))
-
-
-def _mean_stderr(vals):
-    vals = np.asarray(vals, dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
 STEIN_DICTIONARY = (

@@ -2,12 +2,14 @@
 
 Everything here works on dense ndarrays, brute-force enumeration, adaptive
 quadrature or closed forms, sharing no code with the sparse orbit
-representation or the Gauss-Legendre grid table under test.  Two exceptions:
-``eval_integral_ref`` reads the package's Hermite table, and the last section
-holds the Stein residual and the energy gap in full chaos arithmetic (a(F)
+representation or the Gauss-Legendre grid table under test.  Three exceptions:
+``eval_integral_ref`` reads the package's Hermite table; one section holds
+the Stein residual and the energy gap in full chaos arithmetic (a(F)
 expanded with the product formula), the references for the scalar routes in
 ``chaoslimits.diagnostics``, and the kernel-operator forms of the residual
-and the Gamma kernel gap that their one-pass routes must match bit for bit.
+and the Gamma kernel gap that their entry-dict routes must match bit for bit;
+and the last section holds the product formula and <DF, DG> as sums of
+kernels, which the package's in-place level sums must match entry for entry.
 """
 import collections
 import itertools
@@ -21,6 +23,7 @@ from chaoslimits.chaos import (
     SymmetricKernel,
     _hermite_monic_table,
     chaos_product,
+    contract,
     expect_product,
     malliavin_inner,
 )
@@ -383,3 +386,37 @@ def chaos_prop24_gap(f, coeff):
     aF = a_of_F(f, coeff)
     m = malliavin_inner(f, f)
     return abs(0.25 * expect_product(aF, aF) - expect_product(m, m) / f.order**2)
+
+
+# --- the product formula and <DF, DG> with kernel operators ------------------
+
+def _operator_levels(F, G, first, coefficient):
+    """sum over level pairs (n, m) and r >= first of coefficient(n, m, r)
+    (f_n ~x_r g_m) at level n + m - 2r, each term a ``SymmetricKernel``
+    scaled with ``*`` and added to its level with ``+``."""
+    F, G = (ChaosVector.from_kernel(V) if isinstance(V, SymmetricKernel) else V
+            for V in (F, G))
+    out = {}
+    for n, fn in F.components.items():
+        for m, gm in G.components.items():
+            for r in range(first, min(n, m) + 1):
+                s = fn.self_contraction(r) if fn is gm else contract(fn, gm, r).symmetrized()
+                h = coefficient(n, m, r) * s
+                lvl = n + m - 2 * r
+                out[lvl] = out[lvl] + h if lvl in out else h
+    return ChaosVector(F.dim, out)
+
+
+def operator_product(F, G):
+    """``chaos_product`` with kernel operators: the term r! C(n,r) C(m,r)
+    (f ~x_r g) of each level pair added to its level as a kernel."""
+    return _operator_levels(
+        F, G, 0, lambda n, m, r: math.factorial(r) * math.comb(n, r) * math.comb(m, r))
+
+
+def operator_malliavin_inner(F, G):
+    """``malliavin_inner`` with kernel operators, in the coefficients of the
+    slice expansion: n m (r-1)! C(n-1,r-1) C(m-1,r-1) (f ~x_r g), r >= 1."""
+    return _operator_levels(
+        F, G, 1, lambda n, m, r: (n * m * math.factorial(r - 1)
+                                  * math.comb(n - 1, r - 1) * math.comb(m - 1, r - 1)))

@@ -1,4 +1,5 @@
 """Kernel algebra, multiple integrals and the Wick oracle vs dense references."""
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,8 @@ from oracles import (
     hermite_ref,
     multiplicity_ref,
     naive_contract,
+    operator_malliavin_inner,
+    operator_product,
     raw_to_dense,
 )
 
@@ -502,6 +505,36 @@ def test_wick_moment_equal_halves_reuse_one_product():
         assert wick_moment([f], [4]) == expect_product(P, P)
         # distinct halves keep the two-fold product of each
         assert wick_moment([f, g], [2, 2]) == expect_product(P, chaos_product(G, G))
+
+
+@hst.composite
+def _integer_vectors(draw, dim, scale):
+    """Chaos vectors with a level 0 and up to three more levels, each entry
+    an integer times ``scale``: at scale 1 sums of terms cancel exactly, at
+    1e-160 the contractions' products underflow."""
+    levels = [0] + draw(hst.lists(hst.integers(1, 3), max_size=3, unique=True))
+    vector = {}
+    for n in levels:
+        index = hst.sampled_from(list(itertools.combinations_with_replacement(range(dim), n)))
+        terms = draw(hst.lists(hst.tuples(index, hst.integers(-3, 3)), max_size=5))
+        vector[n] = SymmetricKernel(dim, n, {idx: scale * v for idx, v in terms})
+    return ChaosVector(dim, vector)
+
+
+def _levels(V):
+    return [(n, list(k.entries.items())) for n, k in V.components.items()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), d=hst.integers(1, 3), scale=hst.sampled_from([1.0, 1e-160]),
+       same=hst.booleans())
+def test_product_levels_match_the_kernel_operator_form(data, d, scale, same):
+    # the in-place level sums must drop an entry the moment it cancels, as
+    # adding kernels does, or a later term re-adds it in the wrong place
+    F = data.draw(_integer_vectors(d, scale))
+    G = F if same else data.draw(_integer_vectors(d, scale))
+    assert _levels(chaos_product(F, G)) == _levels(operator_product(F, G))
+    assert _levels(malliavin_inner(F, G)) == _levels(operator_malliavin_inner(F, G))
 
 
 # --- malliavin operators ---------------------------------------------------------------

@@ -414,6 +414,9 @@ GRID_FILE = str(Path(__file__).parent / "data" / "normal_grid97.json")
          "--gamma", "1"],
         ["stein-check", "--name", "uniform"],
         ["oracle-check", "--seed", "1", "--m", "1"])],
+    # a non-finite step, which used to overflow the chain (exit 1)
+    (["simulate", "--name", "normal", "--gamma", "1", "--seed", "1", "--dt", "inf"],
+     "dt must be positive and finite"),
 ])
 def test_cli_rejects_an_input_it_would_drop(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)

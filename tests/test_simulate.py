@@ -31,8 +31,9 @@ BETA_CLAMPING = SimConfig(dt=2e-3, burn_in=500, samples=500, thinning=4, seed=9)
 
 
 def test_simconfig_validation():
-    with pytest.raises(ValueError, match="dt"):
-        SimConfig(dt=0.0, seed=1)
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(dt=dt, seed=1)
     with pytest.raises(ValueError, match="burn_in"):
         SimConfig(burn_in=-1, seed=1)
     with pytest.raises(ValueError, match="samples"):
