@@ -81,7 +81,6 @@ from .simulate import (
     ks_distance,
     simulate,
     stein_dictionary_test,
-    stein_residual_empirical,
     wasserstein1_distance,
 )
 from .io import (

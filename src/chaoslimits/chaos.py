@@ -214,9 +214,6 @@ class SymmetricKernel:
             object.__setattr__(self, "_norm_sq", _norm_sq(self.entries))
         return self._norm_sq
 
-    def norm(self):
-        return math.sqrt(self.norm_sq())
-
     def inner(self, other):
         """<f, g> in H^{tensor n} (both kernels symmetric)."""
         if (other.dim, other.order) != (self.dim, self.order):

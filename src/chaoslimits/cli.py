@@ -60,14 +60,14 @@ from .targets import NAMED_TARGETS, named_target, stein_solution_residual
 _STEIN_CHECK_TOL = 1e-6
 
 
-# target parameter flags: constructor keyword -> help (``--lambda`` is lam)
-_TARGET_PARAMS = {
-    "nu": "tail index (student, pareto)",
-    "a": "shape (gamma, f, beta; doubles as the inverse_gamma shape delta)",
-    "b": "second shape (f, beta)",
-    "lam": "rate (gamma, inverse_gamma)",
-    "gamma": "variance (normal)",
-}
+def _target_params():
+    """Constructor keyword -> the named targets that take it, in
+    ``NAMED_TARGETS`` order."""
+    takers = {}
+    for name, (_, wanted) in NAMED_TARGETS.items():
+        for key in wanted:
+            takers.setdefault(key, []).append(name)
+    return takers
 
 
 def _add_target_flags(sub, grid_file=False):
@@ -75,15 +75,15 @@ def _add_target_flags(sub, grid_file=False):
                      help="named target (see targets-list)")
     if grid_file:
         sub.add_argument("--target", help="target file holding a density grid")
-    for key, text in _TARGET_PARAMS.items():
+    for key, names in _target_params().items():
         sub.add_argument(f"--{cio.file_param_name(key)}", dest=key, type=float,
-                         help=text)
+                         help=f"parameter of {', '.join(names)}")
 
 
 def _resolve_target(args):
     """Target from --name plus every given parameter flag, or from a --target
     grid file; ``named_target`` rejects a flag its target does not take."""
-    params = {key: getattr(args, key) for key in _TARGET_PARAMS
+    params = {key: getattr(args, key) for key in _target_params()
               if getattr(args, key) is not None}
     path = getattr(args, "target", None)
     if path is not None:
@@ -95,8 +95,6 @@ def _resolve_target(args):
         return cio.load_target(path)
     if args.name is None:
         raise ValueError("provide a target via --name or --target")
-    if args.name == "inverse_gamma" and "a" in params:
-        params["delta"] = params.pop("a")
     return named_target(args.name, **params)
 
 
@@ -170,11 +168,6 @@ def _parse_m_list(text):
 
 
 def _cmd_diagnose(args):
-    if args.family not in BUILTIN_FAMILIES:
-        raise ValueError(
-            f"--family: unknown family {args.family!r}; choose from"
-            f" {sorted(BUILTIN_FAMILIES)}"
-        )
     family = BUILTIN_FAMILIES[args.family](**({} if args.k is None else {"k": args.k}))
     ms = _parse_m_list(args.m)
     target = _resolve_target(args)
@@ -332,8 +325,8 @@ def build_parser():
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("diagnose", help="kernel-family diagnostics report")
-    p.add_argument("--family", required=True,
-                   help="gaussian_clt or gamma_fixed (k via --k)")
+    p.add_argument("--family", required=True, choices=list(BUILTIN_FAMILIES),
+                   help="kernel family (gamma_fixed takes k via --k)")
     p.add_argument("--k", type=int,
                    help="gamma_fixed only: integer family size k (default 1);"
                         " the limit is Gamma(k/2, 1/2)")

@@ -2,8 +2,9 @@
 
 A target file holds a density grid,
 ``{"name": "custom", "density": [[x, p], ...], "support": [l, u]}``,
-interpolated monotonically in log-space; a named law is given by its name and
-parameters instead (reports spell the rate parameter ``"lambda"``).  Sample
+interpolated monotonically in log-space; a named law is never a file, but a
+name and parameters (the CLI's ``--name`` and flags; reports and flags spell
+the rate parameter ``"lambda"``).  Sample
 dumps hold one float per line after ``# key: value`` header comments.
 
 All numeric output is rendered at 17 significant digits, so every float

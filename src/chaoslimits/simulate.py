@@ -25,7 +25,7 @@ import numpy as np
 
 from .chaos import _check_int, iter_gaussian_chunks
 from .diagnostics import _mean_stderr
-from .targets import _inset_bounds, _stein_operator
+from .targets import _inset_bounds
 
 __all__ = [
     "SimConfig",
@@ -33,7 +33,6 @@ __all__ = [
     "simulate",
     "ks_distance",
     "wasserstein1_distance",
-    "stein_residual_empirical",
     "STEIN_DICTIONARY",
     "stein_dictionary_test",
 ]
@@ -180,15 +179,6 @@ def wasserstein1_distance(e, reference):
     return float(np.vecdot(np.abs(gap, out=gap), np.diff(merged)))
 
 
-def stein_residual_empirical(e, target, h, dh):
-    """Sample mean and stderr of (1/2) a(Y) h'(Y) + b(Y) h(Y), dh being h'.
-
-    The expectation vanishes exactly under the target law, so a mean several
-    stderr away from 0 rejects the sample as target-distributed.
-    """
-    return _mean_stderr(_stein_operator(target, h, dh)(e.values))
-
-
 STEIN_DICTIONARY = (
     ("x", lambda y: y, lambda y: np.ones_like(y)),
     ("x^2", lambda y: y**2, lambda y: 2.0 * y),
@@ -198,12 +188,14 @@ STEIN_DICTIONARY = (
 
 
 def stein_dictionary_test(e, target):
-    """Run the residual over the fixed dictionary; (results, all_pass).
+    """Sample mean and stderr of (1/2) a(Y) h'(Y) + b(Y) h(Y) for each
+    (h, h') of the fixed dictionary; (results, all_pass).
 
-    results maps the function name to (mean, stderr, z); the sample passes
-    when every |z| is below 5.  (1/2) a(Y) and b(Y) are evaluated once, and
-    each function's statistic in ``stein_residual_empirical``'s operation
-    order, so its values are the same bit for bit.
+    The expectation vanishes exactly under the target law, so a mean several
+    stderr away from 0 rejects the sample as target-distributed.  results
+    maps the function name to (mean, stderr, z); the sample passes when
+    every |z| is below 5.  (1/2) a(Y) and b(Y) are evaluated once for all
+    the functions.
     """
     y = e.values
     half_a, b = 0.5 * target.coeff(y), target.drift(y)

@@ -203,16 +203,17 @@ class TargetMeasure:
 
     def validate(self):
         """Check normalization and centered drift to _VALIDATE_TOL, and
-        positivity of a on the interior grid.
+        positivity of a on the interior grid.  A nan mass or drift fails.
 
-        The mass and the drift are integrated by adaptive ``quad`` of the
-        density, not read off the table every other integral reads.  Beside
-        an end where p behaves as c d^e, quad integrates p / d^e against the
-        weight d^e (``weight="alg"``), evaluating it no nearer the end than
-        the next float: over the whole of a finite support, else over the
-        table's end piece.  On a finite support with no power at either end
-        quad starts from the table's pieces, so a grid density's knots, where
-        it is only once differentiable, are breaks.
+        The mass and the drift are integrated twice: on the table every other
+        integral reads, and by adaptive ``quad`` of the density, which does
+        not read the table.  Beside an end where p behaves as c d^e, quad
+        integrates p / d^e against the weight d^e (``weight="alg"``),
+        evaluating it no nearer the end than the next float: over the whole
+        of a finite support, else over the table's end piece.  On a finite
+        support with no power at either end quad starts from the table's
+        pieces, so a grid density's knots, where it is only once
+        differentiable, are breaks.
         """
         (l, u), e, b = self.support, self._end_powers, self._integrals().breaks
         near = (math.nextafter(l, math.inf), math.nextafter(u, -math.inf))
@@ -239,12 +240,13 @@ class TargetMeasure:
                                         **opts)[0]
             return total
 
-        mass = integral(lambda y: 1.0)
-        if abs(mass - 1.0) > _VALIDATE_TOL:
-            raise ValueError(f"density mass {mass!r} is not 1 within {_VALIDATE_TOL}")
-        bint = integral(self.drift)
-        if abs(bint) > _VALIDATE_TOL:
-            raise ValueError(f"drift does not integrate to 0: {bint!r}")
+        for what, fn, want in (("density mass", lambda y: 1.0, 1.0),
+                               ("drift integral", self.drift, 0.0)):
+            for route, value in (("by quad", integral(fn)),
+                                 ("on the table", self._integral(fn))):
+                if not abs(value - want) <= _VALIDATE_TOL:
+                    raise ValueError(f"{what} {value!r} is not {want:g} within"
+                                     f" {_VALIDATE_TOL} {route} (end powers e = {e})")
         grid = self.interior_grid()
         avals = self.coeff(grid)
         if np.any(avals <= 0.0):
@@ -816,7 +818,8 @@ def target_from_density_grid(xs, ps, support=None):
         if isinstance(x, float):
             if not lo <= x <= hi:
                 return math.nan if math.isnan(x) else 0.0
-            # the piece and the sum in PPoly's own order, so both paths agree
+            # the log-cubic in PPoly's own order, equal to PPoly's bit for bit;
+            # math.exp and np.exp can differ by 1 ulp, so the two paths can too
             i = min(bisect.bisect_right(knots, x) - 1, last)
             c3, c2, c1, c0 = pieces[i]
             s = x - knots[i]
@@ -971,15 +974,6 @@ def _derivative5(v, h):
     return (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h)
 
 
-def _stein_operator(target, h, dh):
-    """x -> (1/2) a(x) h'(x) + b(x) h(x), the Stein operator of the target."""
-
-    def op(x):
-        return 0.5 * target.coeff(x) * dh(x) + target.drift(x) * h(x)
-
-    return op
-
-
 def stein_solution_residual(target, f, xs):
     """Residual (1/2) a g' + b g - (f - m_f) at points xs.
 
@@ -1012,7 +1006,8 @@ def stein_identity_residual(target, h, dh):
     Zero (to quadrature accuracy) for every admissible h exactly when the
     target is the invariant law of the (a, b) diffusion.
     """
-    return target._integral(_stein_operator(target, h, dh))
+    return target._integral(
+        lambda x: 0.5 * target.coeff(x) * dh(x) + target.drift(x) * h(x))
 
 
 # --- moments forced by a quadratic coefficient ------------------------------

@@ -378,7 +378,7 @@ def operator_gamma_gap(f, lam):
     """|| (2/lam) c_n f - f ~x_{n/2} f || with kernel operators, as
     ``gamma_kernel_gap`` formed it before its one pass."""
     n = f.order
-    return ((2.0 / lam) * c_n(n) * f - f.self_contraction(n // 2)).norm()
+    return math.sqrt(((2.0 / lam) * c_n(n) * f - f.self_contraction(n // 2)).norm_sq())
 
 
 def chaos_prop24_gap(f, coeff):

@@ -24,7 +24,7 @@ TARGET_PARAMS = {
     "student": ["--nu", "7"],
     "pareto": ["--nu", "5"],
     "gamma": ["--a", "2", "--lambda", "1"],
-    "inverse_gamma": ["--a", "3", "--lambda", "4"],
+    "inverse_gamma": ["--delta", "3", "--lambda", "4"],
     "f": ["--a", "6", "--b", "10"],
     "uniform": [],
     "beta": ["--a", "2", "--b", "3"],

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -120,6 +121,22 @@ def test_cli_targets_list(capsys):
             "f", "uniform", "beta"} <= names
 
 
+def test_cli_target_flags_are_the_listed_params(capsys):
+    # targets-coeffs takes one flag per parameter targets-list prints, and a
+    # target given exactly its listed params echoes them back
+    _, out, _ = run_cli(capsys, ["targets-list"])
+    rows = json.loads(out)["targets"]
+    code, help_text, _ = run_cli(capsys, ["targets-coeffs", "--help"])
+    assert code == 0
+    flags = set(re.findall(r"--(\w+) [A-Z]+", help_text)) - {"name"}
+    assert flags == {p for row in rows for p in row["params"]}
+    for row in rows:
+        argv = [arg for p in row["params"] for arg in (f"--{p}", "5")]
+        code, out, err = run_cli(capsys, ["targets-coeffs", "--name", row["name"], *argv])
+        assert code == 0, err
+        assert list(json.loads(out)["target"]["params"]) == row["params"]
+
+
 def test_cli_targets_coeffs_student(capsys):
     code, out, _ = run_cli(capsys, ["targets-coeffs", "--name", "student",
                                     "--nu", "5"])
@@ -202,7 +219,7 @@ def test_cli_stein_check_inverse_gamma_near_its_moment_bound(capsys):
     # E X^2 exists for lambda = 2.5; the quadrature route's x^2 residual was
     # 6.5e-6, past the 1e-6 tolerance
     code, out, _ = run_cli(capsys, ["stein-check", "--name", "inverse_gamma",
-                                    "--a", "3", "--lambda", "2.5"])
+                                    "--delta", "3", "--lambda", "2.5"])
     assert code == 0
     assert json.loads(out)["pass"] is True
 
@@ -417,6 +434,11 @@ GRID_FILE = str(Path(__file__).parent / "data" / "normal_grid97.json")
     # a non-finite step, which used to overflow the chain (exit 1)
     (["simulate", "--name", "normal", "--gamma", "1", "--seed", "1", "--dt", "inf"],
      "dt must be positive and finite"),
+    # --a is not a second spelling of inverse_gamma's delta
+    (["targets-coeffs", "--name", "inverse_gamma", "--a", "3", "--lambda", "4"], "delta"),
+    # the families are BUILTIN_FAMILIES' names
+    (["diagnose", "--family", "nope", "--m", "2", "--name", "normal", "--gamma", "1"],
+     "invalid choice: 'nope'"),
 ])
 def test_cli_rejects_an_input_it_would_drop(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)

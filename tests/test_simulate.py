@@ -17,7 +17,6 @@ from chaoslimits import (
     normal_target,
     simulate,
     stein_dictionary_test,
-    stein_residual_empirical,
     target_from_density_grid,
     uniform_centered_target,
     wasserstein1_distance,
@@ -251,22 +250,21 @@ def test_wasserstein_equals_scipy_bit_for_bit():
 
 # --- empirical Stein checks ------------------------------------------------------------------
 
-def test_stein_residual_empirical_on_exact_samples():
+def test_stein_dictionary_entries_on_exact_samples():
     t = gamma_target(2.0, 1.0)
     e = EmpiricalDistribution(t.sample_exact(20_000, seed=17))
-    for h, dh in ((lambda y: y, lambda y: np.ones_like(y)),
-                  (np.sin, np.cos)):
-        mean, se = stein_residual_empirical(e, t, h, dh)
+    results, _ = stein_dictionary_test(e, t)
+    for name in ("x", "sin"):
+        mean, se, _ = results[name]
         assert se > 0
         assert abs(mean) < 4 * se
 
 
-def test_stein_residual_empirical_rejects_wrong_law():
+def test_stein_dictionary_entry_rejects_wrong_law():
     t = gamma_target(2.0, 1.0)
     wrong = normal_target(1.0)
     e = EmpiricalDistribution(t.sample_exact(20_000, seed=23))
-    mean, se = stein_residual_empirical(e, wrong, lambda y: y,
-                                        lambda y: np.ones_like(y))
+    mean, se, _ = stein_dictionary_test(e, wrong)[0]["x"]
     assert abs(mean) > 10 * se
 
 

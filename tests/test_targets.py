@@ -1,10 +1,13 @@
 """Target measures: coefficient closed forms, moments, Stein solutions."""
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.interpolate
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -33,6 +36,8 @@ from chaoslimits import (
     uniform_centered_target,
 )
 from oracles import mble_inner_product, quad_coeff, quad_cdf, quad_mass, quad_mean
+
+GRID_FILE = pathlib.Path(__file__).parent / "data" / "normal_grid97.json"
 
 ALL_TARGETS = [
     normal_target(1.0),
@@ -106,6 +111,40 @@ def test_validate_integrates_against_the_power_at_a_singular_end(name, params):
     # quad without the end's weight missed the drift integral of gamma(0.05, 1)
     # by 0.019 and of F(0.1, 20) by 0.26, and warned on beta(0.05, 2)
     assert named_target(name, **params).validate()
+
+
+def _nan_past_3(x):
+    x = np.asarray(x, dtype=float)
+    out = np.where(x > 3.0, np.nan, scipy.stats.norm.pdf(x))
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("density, mean, named", [
+    (_nan_past_3, 0.0, "density mass nan"),
+    (scipy.stats.norm.pdf, math.nan, "drift integral nan"),
+], ids=["nan mass", "nan drift"])
+def test_validate_rejects_a_nan_mass_or_drift(density, mean, named):
+    # abs(nan - 1) > tol is False, so a nan integral used to pass
+    t = TargetMeasure(name="nan", support=(-math.inf, math.inf), density=density,
+                      cdf=scipy.stats.norm.cdf, ppf=scipy.stats.norm.ppf,
+                      coeff=DiffusionCoefficient.polynomial(0.0, 0.0, 2.0), mean=mean)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        with pytest.raises(ValueError, match=named):
+            t.validate()
+
+
+def test_validate_holds_the_table_to_its_tolerance():
+    # a hand-built beta(0.1, 0.1) has e = 0 at both ends, so its table's end
+    # pieces are Gauss-Legendre: mass 0.9705 and E X^2 0.2010 against 0.2083,
+    # while quad of the density passes
+    named = beta_target(0.1, 0.1)
+    law = scipy.stats.beta(0.1, 0.1, loc=-0.5)
+    t = TargetMeasure(name="hand_beta", support=named.support, density=law.pdf,
+                      cdf=law.cdf, ppf=law.ppf, coeff=named.coeff)
+    assert abs(t.moment(0) - 1.0) > 0.01
+    with pytest.raises(ValueError, match=r"on the table \(end powers e = \(0.0, 0.0\)\)"):
+        t.validate()
 
 
 # --- closed-form densities against scipy -----------------------------------------------
@@ -867,23 +906,31 @@ def test_target_from_density_grid_rejects_bad_grids():
 
 
 def test_grid_density_float_path_equals_array_path():
-    # the float path evaluates the log-PCHIP piece itself; it must agree with
-    # PchipInterpolator on knots, midpoints and just inside both ends
+    # both paths take PchipInterpolator's log-density bit for bit; only the
+    # exp differs (math.exp on a float, np.exp on an array, up to 1 ulp apart),
+    # so the densities agree to rounding, not bit for bit.  Points: knots,
+    # midpoints, just inside both ends and 400 quantiles
     grids = [np.linspace(-8.0, 8.0, 129), np.linspace(0.05, 12.0, 90)]
+    file_grid = np.asarray(json.loads(GRID_FILE.read_text())["density"])
     for xs, ps in ((grids[0], scipy.stats.norm.pdf(grids[0])),
-                   (grids[1], np.exp(-((np.log(grids[1]) - 0.2) ** 2) / 0.5) / grids[1])):
+                   (grids[1], np.exp(-((np.log(grids[1]) - 0.2) ** 2) / 0.5) / grids[1]),
+                   (file_grid[:, 0], file_grid[:, 1])):
         t = target_from_density_grid(xs, ps)
+        logp = scipy.interpolate.PchipInterpolator(xs, np.log(ps))
+        mass = t._table.mass
         lo, hi = t.support
-        pts = np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1]), [lo + 1e-12, hi - 1e-12]])
+        pts = np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1]), [lo + 1e-12, hi - 1e-12],
+                              t.ppf(np.linspace(0.001, 0.999, 400))])
         arr = t.density(pts)
         floats = [t.density(float(x)) for x in pts]
         assert all(type(v) is float for v in floats)
         assert np.all(arr > 0.0)
+        assert np.array_equal(arr, np.exp(logp(pts)) / mass)
+        assert floats == [math.exp(float(logp(x))) / mass for x in pts]
         assert float(np.max(np.abs(np.array(floats) - arr) / arr)) <= 1e-15
         outside = [lo - 1.0, lo - 1e-12, hi + 1e-12, hi + 1.0]
         assert all(t.density(x) == 0.0 for x in outside)
         assert np.all(t.density(np.array(outside)) == 0.0)
-
 
 
 def test_grid_copy_of_normal_passes_ks_against_its_cdf():
