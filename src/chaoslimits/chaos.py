@@ -287,17 +287,29 @@ class BlockKernel:
         return SymmetricKernel._trusted(self.dim, self.order, out)
 
 
-def _distinct_subs(idx, r):
-    """The distinct size-r sub-multisets of a sorted index, ascending."""
-    return dict.fromkeys(itertools.combinations(idx, r))
+@functools.cache
+def _split_table(order, r):
+    """(sub, rest) getters of each size-r position set of an order-n index.
+    On a sorted index, each s = sub(index) not seen before is below all
+    earlier ones, and rest(index) is the sorted index - s."""
+    def getter(pos):  # the entries at ``pos`` as a tuple; a slice if contiguous
+        if pos and pos[-1] - pos[0] >= len(pos):
+            return operator.itemgetter(*pos)
+        return operator.itemgetter(slice(pos[0], pos[-1] + 1) if pos else slice(0))
+
+    pos = range(order)
+    return tuple((getter(c), getter(tuple(p for p in pos if p not in c)))
+                 for c in reversed(list(itertools.combinations(pos, r))))
 
 
-def _remove(idx, sub):
-    """Sorted index minus the sub-multiset ``sub``."""
-    out = list(idx)
-    for i in sub:
-        out.remove(i)
-    return tuple(out)
+def _probe(a, table, index):
+    """(a - s, r!/prod(counts of s)!, bucket) for each distinct s of ``a``
+    that hits the index, s descending; a - s is read only on a hit."""
+    hits = {}
+    for sub, rest in table:
+        if (s := sub(a)) not in hits and (bucket := index.get(s)):
+            hits[s] = (rest(a), multiplicity(s), bucket)
+    return hits.values()
 
 
 def contract(f, g, r):
@@ -307,37 +319,43 @@ def contract(f, g, r):
     ``BlockKernel`` of order n + m - 2r.  Use ``.symmetrized()`` for the
     symmetric version f (x~)_r g.
 
-    Computed as a hash join on the contracted sub-multiset: g is indexed once
-    by every distinct size-r sub-multiset s of each entry, and each entry a
-    of f meets only the entries of g sharing one of its own s, adding
-    f[a] g[b] r!/prod(counts of s)! to block (a - s, b - s).  The cost is
-    O(nnz_g C(m, r) + nnz_f C(n, r) + matched triples) instead of
-    nnz_f * nnz_g pair visits.  Each block sums its terms in f-entry order,
-    and blocks appear in (f entry, g entry, s descending) order of their
-    first term, as in a plain loop over all entry pairs.
+    Computed as a hash join on the contracted sub-multiset s.  Each entry is
+    split once per call, by itemgetters from the process-wide
+    ``_split_table``, and a self-contraction shares one split between both
+    sides.  Each entry a of f meets only the entries b of g indexed under one
+    of its own s, adding f[a] g[b] r!/prod(counts of s)! to block
+    (a - s, b - s); when f is not g, a - s is read only on a hit.  The cost
+    is O(nnz_f C(n, r) + nnz_g C(m, r)) getter calls plus the matched terms,
+    not nnz_f * nnz_g pair visits.  Each block sums its terms in f-entry
+    order, and blocks appear in (f entry, g entry, s descending) order of
+    their first term, as in a plain loop over all entry pairs.
     """
     if f.dim != g.dim:
         raise ValueError("kernel dims differ")
     if r < 0 or r > min(f.order, g.order):
         raise ValueError(f"contraction order r={r} out of range")
-    index = {}
+    table, index, shared = _split_table(g.order, r), {}, []
     for j, (b, vb) in enumerate(g.entries.items()):
-        for sub in _distinct_subs(b, r):
-            index.setdefault(sub, []).append((j, _remove(b, sub), vb))
+        shared.append(hits := [])
+        for sub, rest in table:
+            bucket = index.setdefault(s := sub(b), [])
+            if not bucket or bucket[-1][0] != j:  # else s is a repeat in b
+                bucket.append((j, rest_b := rest(b), vb))
+                if f is g:  # entry j of f probes with this same split
+                    hits.append((rest_b, multiplicity(s), bucket))
+    probes = shared if f is g else (
+        _probe(a, _split_table(f.order, r), index) for a in f.entries)
     blocks = {}
-    for a, va in f.entries.items():
-        hits = []
-        for sub in reversed(_distinct_subs(a, r)):
-            bucket = index.get(sub)
-            if bucket:
-                hits.append((_remove(a, sub), multiplicity(sub), bucket))
-        terms = [
-            (j, rest_a, rest_b, vb, w)
-            for rest_a, w, bucket in hits
-            for j, rest_b, vb in bucket
-        ]
-        if len(hits) > 1:
-            terms.sort(key=lambda t: t[0])  # stable: ties keep s descending
+    for va, hits in zip(f.entries.values(), probes):
+        if len(hits) == 1:  # one bucket, already in g-entry order
+            [(rest_a, w, bucket)] = hits
+            for _, rest_b, vb in bucket:
+                key = (rest_a, rest_b)
+                blocks[key] = blocks.get(key, 0.0) + va * vb * w
+            continue
+        terms = [(j, rest_a, rest_b, vb, w) for rest_a, w, bucket in hits
+                 for j, rest_b, vb in bucket]
+        terms.sort(key=operator.itemgetter(0))  # stable: ties keep s descending
         for _, rest_a, rest_b, vb, w in terms:
             key = (rest_a, rest_b)
             blocks[key] = blocks.get(key, 0.0) + va * vb * w

@@ -168,6 +168,8 @@ def _parse_m_list(text):
 
 
 def _cmd_diagnose(args):
+    if args.seed is not None and not args.mc:
+        raise ValueError("--seed seeds the Monte Carlo twins: give it with --mc")
     family = BUILTIN_FAMILIES[args.family](**({} if args.k is None else {"k": args.k}))
     ms = _parse_m_list(args.m)
     target = _resolve_target(args)
@@ -334,7 +336,7 @@ def build_parser():
                    help="comma-separated member indices, e.g. 1,2,4,8")
     p.add_argument("--mc", type=int, default=0,
                    help="Monte Carlo samples per member (0 = exact only)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="Monte Carlo seed (with --mc only)")
     _add_target_flags(p)
     p.set_defaults(func=_cmd_diagnose)
 

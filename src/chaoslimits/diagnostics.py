@@ -460,7 +460,7 @@ def gaussian_clt_family():
     """f_m = (2m)^{-1/2} sum_{i<m} e_i^{x2}: E[F_m^2] = 1, fourth moment 3 + 12/m."""
     def member(m):
         entries = {(i, i): 1.0 / math.sqrt(2.0 * m) for i in range(m)}
-        return SymmetricKernel(m, 2, entries)
+        return SymmetricKernel._trusted(m, 2, entries)
 
     return KernelFamily("gaussian_clt", 2, member)
 
@@ -471,7 +471,7 @@ def gamma_fixed_family(k=1):
     k = _check_int("k", k, 1)
 
     def member(m):
-        return SymmetricKernel(k, 2, {(i, i): 1.0 for i in range(k)})
+        return SymmetricKernel._trusted(k, 2, {(i, i): 1.0 for i in range(k)})
 
     return KernelFamily("gamma_fixed", 2, member)
 

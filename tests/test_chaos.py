@@ -16,6 +16,8 @@ from chaoslimits import (
     derivative_slices,
     eval_multiple_integral,
     expect_product,
+    gamma_fixed_family,
+    gaussian_clt_family,
     hermite,
     iter_gaussian_chunks,
     malliavin_inner,
@@ -190,6 +192,24 @@ def test_library_made_kernels_keep_the_constructor_invariants():
     _assert_validated_form(SymmetricKernel(3, 2, {(0, 0): 1.0}).slice_kernel(2))
 
 
+def test_family_members_equal_the_validating_constructor():
+    # the built-in families make their members without index checks, so each
+    # must equal, entry order included, the checked kernel of its formula
+    clt = gaussian_clt_family()
+    for m in (1, 2, 3, 17, 64, 300):
+        k = clt(m)
+        want = SymmetricKernel(m, 2, {(i, i): 1.0 / math.sqrt(2.0 * m) for i in range(m)})
+        assert k == want and list(k.entries) == list(want.entries)
+        _assert_validated_form(k)
+    for size in (1, 8, 100):
+        family = gamma_fixed_family(size)
+        want = SymmetricKernel(size, 2, {(i, i): 1.0 for i in range(size)})
+        for m in (1, 2, 5):
+            k = family(m)
+            assert k == want and list(k.entries) == list(want.entries)
+            _assert_validated_form(k)
+
+
 def test_basis_and_symmetrize_normalizations():
     # basis: coefficient 1 on every rearrangement -> norm^2 = orbit size
     b = basis(2, (0, 0, 1))
@@ -268,23 +288,48 @@ def test_contract_matches_dense_sweep():
                             rel_tol=1e-11, abs_tol=1e-12)
 
 
-def test_contract_blocks_equal_pairwise_loop_exactly():
-    # The join must add the same terms in the same order as a loop over all
-    # entry pairs: block values, block order and symmetrized entries are
-    # compared with ==, not a tolerance.
+def _join_cases():
+    """(f, g) pairs for the exact-join test: random kernels of orders 0..6,
+    and diagonal kernels (every index repeated, as in the CLT family)."""
     rng = np.random.default_rng(47)
     for trial in range(150):
         d = int(rng.integers(1, 9))
         f = random_kernel(rng, d, int(rng.integers(0, 5)), int(rng.integers(1, 41)))
-        g = f if trial % 2 else random_kernel(
+        yield f, f if trial % 2 else random_kernel(
             rng, d, int(rng.integers(0, 5)), int(rng.integers(1, 41)))
+    for trial in range(24):
+        d = int(rng.integers(1, 5))
+        f = random_kernel(rng, d, 5 + trial % 2, int(rng.integers(1, 25)))
+        yield f, f if trial % 3 else random_kernel(
+            rng, d, int(rng.integers(0, 7)), int(rng.integers(1, 25)))
+    for m in (1, 2, 5, 64):
+        for n in (2, 3, 4):
+            f = SymmetricKernel(m, n, {(i,) * n: 1.0 / math.sqrt(2.0 * m)
+                                       for i in range(m)})
+            yield f, f
+            yield f, SymmetricKernel(m, n, {(i,) * n: 1.0 + i for i in range(0, m, 2)})
+
+
+def test_contract_blocks_equal_pairwise_loop_exactly():
+    # The join must add the same terms in the same order as a loop over all
+    # entry pairs: block values, block order and symmetrized entries are
+    # compared with ==, not a tolerance.  A self-contraction shares one split
+    # of the entries between both sides, so an equal copy of f, which takes
+    # the two-sided path, must give the same blocks in the same order.
+    for f, g in _join_cases():
+        copy = SymmetricKernel(f.dim, f.order, dict(f.entries))
+        assert copy == f and copy is not f
         for r in range(min(f.order, g.order) + 1):
             got = contract(f, g, r)
             want = naive_contract(f, g, r)
             assert got.blocks == want
             assert list(got.blocks) == list(want)
-            sym = BlockKernel(d, f.order - r, g.order - r, want).symmetrized()
+            sym = BlockKernel(f.dim, f.order - r, g.order - r, want).symmetrized()
             assert got.symmetrized().entries == sym.entries
+            if g is f:
+                two_sided = contract(f, copy, r).blocks
+                assert two_sided == got.blocks
+                assert list(two_sided) == list(got.blocks)
 
 
 def test_contract_full_equals_inner():

@@ -439,6 +439,9 @@ GRID_FILE = str(Path(__file__).parent / "data" / "normal_grid97.json")
     # the families are BUILTIN_FAMILIES' names
     (["diagnose", "--family", "nope", "--m", "2", "--name", "normal", "--gamma", "1"],
      "invalid choice: 'nope'"),
+    # a seed with no Monte Carlo twins to seed
+    (["diagnose", "--family", "gaussian_clt", "--m", "2", "--name", "normal",
+      "--gamma", "1", "--seed", "5"], "--seed seeds the Monte Carlo twins: give it with --mc"),
 ])
 def test_cli_rejects_an_input_it_would_drop(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
