@@ -135,9 +135,16 @@ def _add_into(acc, entries, c):
     return acc
 
 
-def _norm_sq(entries):
-    """sum of mult(idx) v^2, the squared norm of a kernel's entries."""
-    return sum(multiplicity(idx) * v * v for idx, v in entries.items())
+def _norm_sq(entries, c=1.0):
+    """||c f||^2 = sum of mult(idx) (c v)^2 over the entries, a term whose c v
+    is an exact zero skipped: ``_norm_sq(_scaled(f, c))`` with no dict built.
+    Summed left to right from 0, as ``sum`` adds floats before Python 3.12
+    (whose ``sum`` is compensated), so every version gives the same bits."""
+    total = 0
+    for idx, v in entries.items():
+        if (w := c * v) != 0.0:
+            total += multiplicity(idx) * w * w
+    return total
 
 
 @dataclass(frozen=True)
@@ -147,8 +154,12 @@ class SymmetricKernel:
     ``entries`` maps each canonical (sorted) multi-index to the common value
     of the tensor on that orbit; indices missing from the map are zero.
     Treat instances as immutable: all operations return new kernels, and
-    ``norm_sq`` and ``self_contraction`` memoize on the assumption that
-    ``entries`` is never mutated.
+    three memos assume that ``entries`` is never mutated: ``norm_sq`` keeps
+    ||f||^2 (which ``f.inner(f)`` returns), ``self_contraction`` keeps each
+    f ~x_p f, and ``_inner_half`` keeps <f, f ~x_{n/2} f>.  The memos are
+    not dataclass fields, so ``==`` and ``repr`` do not see them.  The exact
+    diagnostics read them, and a Stein level that holds only c f ~x_r f is
+    normed in one pass over the memoized contraction (``_norm_sq(entries, c)``).
     """
 
     dim: int
@@ -165,16 +176,19 @@ class SymmetricKernel:
             val = float(val)
             if val != 0.0:
                 clean[idx] = val
-        vars(self).update(dim=dim, order=order, entries=clean,
-                          _self_contractions={}, _norm_sq=None)
+        self._start_memos(dim, order, clean)
+
+    def _start_memos(self, dim, order, entries):
+        vars(self).update(dim=dim, order=order, entries=entries,
+                          _self_contractions={}, _norm_sq=None, _half=None)
 
     @classmethod
     def _trusted(cls, dim, order, entries):
-        """Kernel from entries the library made (canonical sorted int tuples in
-        range, float values): no index checks, but exact zeros still drop."""
+        """Kernel holding ``entries`` itself, with no check and no copy: a
+        fresh dict the library made, canonical sorted int tuples in range
+        mapped to nonzero floats, as ``_scaled`` and ``_add_into`` leave one."""
         k = object.__new__(cls)
-        vars(k).update(dim=dim, order=order, _self_contractions={}, _norm_sq=None,
-                       entries={i: v for i, v in entries.items() if v != 0.0})
+        k._start_memos(dim, order, entries)
         return k
 
     # --- constructors -------------------------------------------------
@@ -215,13 +229,28 @@ class SymmetricKernel:
         return self._norm_sq
 
     def inner(self, other):
-        """<f, g> in H^{tensor n} (both kernels symmetric)."""
+        """<f, g> in H^{tensor n} (both kernels symmetric), summed left to
+        right from 0 as in ``_norm_sq``; <f, f> is the memoized ``norm_sq``,
+        whose terms mult v v are the same."""
+        if other is self:
+            return self.norm_sq()
         if (other.dim, other.order) != (self.dim, self.order):
             raise ValueError("kernel shapes differ")
         a, b = self.entries, other.entries
         if len(b) < len(a):
             a, b = b, a
-        return sum(multiplicity(idx) * v * b[idx] for idx, v in a.items() if idx in b)
+        total = 0
+        for idx, v in a.items():
+            if idx in b:
+                total += multiplicity(idx) * v * b[idx]
+        return total
+
+    def _inner_half(self):
+        """<f, f ~x_{n/2} f>, summed on first use and kept on this kernel."""
+        if self._half is None:
+            object.__setattr__(
+                self, "_half", self.inner(self.self_contraction(self.order // 2)))
+        return self._half
 
     # --- structural helpers ----------------------------------------------
     def slice_kernel(self, i):
@@ -284,7 +313,8 @@ class BlockKernel:
             u = tuple(sorted(a + b))
             w = v * multiplicity(a) * multiplicity(b) / multiplicity(u)
             out[u] = out.get(u, 0.0) + w
-        return SymmetricKernel._trusted(self.dim, self.order, out)
+        return SymmetricKernel._trusted(self.dim, self.order,
+                                        {u: w for u, w in out.items() if w != 0.0})
 
 
 @functools.cache
@@ -521,7 +551,8 @@ def _product_levels(F, G, first):
 
     Each level's entries accumulate in place (``_add_into``) in (n, m, r)
     order, the values and order of adding the terms up as kernels.  f ~x_r g
-    is read from f's memo when g is f itself.
+    is read from f's memo when g is f itself.  ``_add_into`` leaves no exact
+    zero, so each level dict becomes its kernel as it is, with no copy.
     """
     F, G = _vector(F), _vector(G)
     if F.dim != G.dim:

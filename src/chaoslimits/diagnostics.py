@@ -88,8 +88,7 @@ def moment3(f):
         return f.entries.get((), 0.0) ** 3
     if n % 2:
         return 0.0
-    return (math.factorial(n) ** 3 / math.factorial(n // 2) ** 3
-            * f.inner(f.self_contraction(n // 2)))
+    return math.factorial(n) ** 3 / math.factorial(n // 2) ** 3 * f._inner_half()
 
 
 def _contraction_weights(f):
@@ -101,14 +100,21 @@ def _contraction_weights(f):
             for r in range(1, n)}
 
 
+def _weights_sum(f, start, factor):
+    """start + sum_r factor(r) w_r (``_contraction_weights``), added left to
+    right, as ``sum`` added floats before Python 3.12 (``chaos._norm_sq``)."""
+    for r, w in _contraction_weights(f).items():
+        start += factor(r) * w
+    return start
+
+
 def moment4(f):
-    """E[I_n(f)^4] = 3 E[F^2]^2 + sum_r 3 (r/n) w_r (``_contraction_weights``)."""
+    """E[I_n(f)^4] = 3 E[F^2]^2 + sum_r 3 (r/n) w_r."""
     n = f.order
     if n == 0:
         return f.entries.get((), 0.0) ** 4
     ef2 = f.scaled_norm_sq()
-    return sum((3.0 * r / n * w for r, w in _contraction_weights(f).items()),
-               3.0 * ef2 * ef2)
+    return _weights_sum(f, 3.0 * ef2 * ef2, lambda r: 3.0 * r / n)
 
 
 # --- classifier --------------------------------------------------------------
@@ -280,7 +286,9 @@ def stein_residual_l2(f, coeff):
     alpha^2/4 (2 E[F^2]^2 + sum (3r/n - 1) w_r).  Unlike the moment form, the
     sum cannot cancel below zero.  Each level takes the kernel operators'
     steps on entry dicts (``chaos._scaled``, ``chaos._add_into``) around the
-    memoized f ~x_r f, so it has the bits of the kernel-operator form."""
+    memoized f ~x_r f, so it has the bits of the kernel-operator form; a
+    level whose g is empty (alpha = 0, outside levels 0 and n) is the norm
+    of -c f ~x_r f alone, summed in one pass by ``chaos._norm_sq``."""
     alpha, beta, gamma = _as_coeff_tuple(coeff)
     n = f.order
     if n == 0:
@@ -296,16 +304,15 @@ def stein_residual_l2(f, coeff):
             if alpha:
                 _add_into(g, _scaled(s, math.factorial(r) * math.comb(n, r) ** 2), alpha)
             # 0.5 g - c s, with (-c) v the bits of -(c v)
-            g = _add_into(_scaled(g, 0.5), s,
-                          -n * math.factorial(r - 1) * math.comb(n - 1, r - 1) ** 2)
-            total += math.factorial(k) * _norm_sq(g)
+            c = float(-n * math.factorial(r - 1) * math.comb(n - 1, r - 1) ** 2)
+            level = _norm_sq(_add_into(_scaled(g, 0.5), s, c)) if g else _norm_sq(s, c)
+            total += math.factorial(k) * level
         elif k == n and beta:
-            total += 0.25 * math.factorial(n) * _norm_sq(_scaled(f.entries, beta))
+            total += 0.25 * math.factorial(n) * _norm_sq(f.entries, beta)
     if alpha:
         ef2 = f.scaled_norm_sq()
-        total += 0.25 * alpha**2 * sum(
-            ((3.0 * r / n - 1.0) * w for r, w in _contraction_weights(f).items()),
-            2.0 * ef2 * ef2)
+        total += 0.25 * alpha**2 * _weights_sum(f, 2.0 * ef2 * ef2,
+                                                lambda r: 3.0 * r / n - 1.0)
     return total
 
 
@@ -410,9 +417,7 @@ def prop24_gap(f, coeff):
     n, ef2 = f.order, f.scaled_norm_sq()
     ea2 = (alpha * alpha * moment4(f) + 2.0 * alpha * beta * moment3(f)
            + (beta * beta + 2.0 * alpha * gamma) * ef2 + gamma * gamma)
-    egamma2 = sum(((r / n) ** 2 * w for r, w in _contraction_weights(f).items()),
-                  ef2 * ef2)
-    return abs(0.25 * ea2 - egamma2)
+    return abs(0.25 * ea2 - _weights_sum(f, ef2 * ef2, lambda r: (r / n) ** 2))
 
 
 def lemma_l2_combination(f, coeff):
@@ -435,8 +440,7 @@ def lemma_l11_gap(f, coeff):
     alpha, beta, _ = _as_coeff_tuple(coeff)
     if alpha == 1.0:
         raise ValueError("alpha = 1 is excluded")
-    half = f.self_contraction(f.order // 2)
-    return abs(f.inner(half) - beta / (1.0 - alpha) * c_n(f.order) * f.norm_sq())
+    return abs(f._inner_half() - beta / (1.0 - alpha) * c_n(f.order) * f.norm_sq())
 
 
 # --- kernel families and the report -------------------------------------------

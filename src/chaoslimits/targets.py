@@ -269,14 +269,25 @@ def _closed_form_density(logpdf, support, edges):
     ``logpdf`` is evaluated on the interior points; ``edges`` are the
     density's values at the lower and upper endpoints; outside the support
     it is 0.  A scalar x gives a float.
+
+    A float or an array strictly inside the support skips the masks.  Such a
+    float is evaluated as a 1-element array, as the masked path does: numpy's
+    0-d and scalar loops (``** 2`` among them) can differ from the array
+    loops in the last bit.  ``logpdf`` may return a constant (the uniform's
+    0.0), so its result is broadcast to x's shape.
     """
     lo, hi = support
     p_lo, p_hi = edges
 
     def density(x):
+        if isinstance(x, float) and lo < x < hi:  # quad's calls
+            return np.exp(logpdf(np.array([x]))).item()
         x = np.asarray(x, dtype=float)
-        out = np.where(x == lo, p_lo, np.where(x == hi, p_hi, 0.0))
         inside = (lo < x) & (x < hi)
+        if x.ndim and inside.all():
+            out = np.exp(logpdf(np.ascontiguousarray(x)))
+            return out if out.shape == x.shape else np.full(x.shape, out)
+        out = np.where(x == lo, p_lo, np.where(x == hi, p_hi, 0.0))
         out[inside] = np.exp(logpdf(x[inside]))
         out[np.isnan(x)] = np.nan
         return out if out.ndim else float(out)

@@ -357,7 +357,7 @@ def operator_residual(f, coeff):
         if k % 2 == 0:
             r = n - k // 2
             s = f.self_contraction(r)
-            g = SymmetricKernel._trusted(f.dim, k, {(): gamma} if k == 0 else {})
+            g = SymmetricKernel(f.dim, k, {(): gamma} if k == 0 else {})
             if k == n and beta:
                 g = g + beta * f
             if alpha:
@@ -368,9 +368,10 @@ def operator_residual(f, coeff):
             total += 0.25 * math.factorial(n) * (beta * f).norm_sq()
     if alpha:
         ef2 = f.scaled_norm_sq()
-        total += 0.25 * alpha**2 * sum(
-            ((3.0 * r / n - 1.0) * w for r, w in _contraction_weights(f).items()),
-            2.0 * ef2 * ef2)
+        top = 2.0 * ef2 * ef2  # left to right: from 3.12, ``sum`` is compensated
+        for r, w in _contraction_weights(f).items():
+            top += (3.0 * r / n - 1.0) * w
+        total += 0.25 * alpha**2 * top
     return total
 
 

@@ -381,6 +381,18 @@ def test_moment4_property(data, d, n):
                         rel_tol=1e-10, abs_tol=1e-12)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), d=hst.integers(1, 3), n=hst.integers(0, 3),
+       scale=hst.sampled_from([1.0, 1e-160]))
+def test_inner_with_itself_is_the_norm_of_a_copy(data, d, n, scale):
+    # f.inner(f) is the memoized norm_sq; at 1e-160 its terms underflow
+    f = scale * data.draw(_kernels(d, n))
+    copy = SymmetricKernel(d, n, dict(f.entries))
+    got, want = f.inner(f), f.inner(copy)
+    assert (got, type(got)) == (want, type(want))
+    assert got is f.norm_sq()
+
+
 # --- evaluation and the product formula -------------------------------------------
 
 def test_eval_simple_polynomials():
@@ -580,6 +592,19 @@ def test_product_levels_match_the_kernel_operator_form(data, d, scale, same):
     G = F if same else data.draw(_integer_vectors(d, scale))
     assert _levels(chaos_product(F, G)) == _levels(operator_product(F, G))
     assert _levels(malliavin_inner(F, G)) == _levels(operator_malliavin_inner(F, G))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), d=hst.integers(1, 3), scale=hst.sampled_from([1.0, 1e-160]))
+def test_product_levels_equal_the_validating_constructors(data, d, scale):
+    # the level dicts become the product's kernels as they are, with no copy
+    F = data.draw(_integer_vectors(d, scale))
+    for P in (chaos_product(F, F), malliavin_inner(F, F)):
+        want = ChaosVector(d, {n: SymmetricKernel(d, n, dict(k.entries))
+                               for n, k in P.components.items()})
+        assert P == want and _levels(P) == _levels(want)
+        for k in P.components.values():
+            _assert_validated_form(k)
 
 
 # --- malliavin operators ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from chaoslimits import (
     BUILTIN_FAMILIES,
+    KernelFamily,
     SymmetricKernel,
     beta_target,
     c_n,
@@ -607,6 +608,9 @@ def test_self_contraction_memo_stays_out_of_eq_and_repr():
     h = used.self_contraction(1)
     assert used.self_contraction(1) is h
     assert used.norm_sq() == used.norm_sq() == 0.5**2 + 2 * 1.0 + 2 * 0.25**2
+    assert used.inner(used) is used.norm_sq()
+    third = moment3(used)
+    assert moment3(used) == third == moment3(fresh)
     assert h == contract(fresh, fresh, 1).symmetrized()
     assert used == fresh and repr(used) == repr(fresh)
 
@@ -637,6 +641,27 @@ def test_run_family_diagnostics_sums_each_norm_once(monkeypatch):
     # the sum visits each entry of each kernel object once, however many calls
     assert {i: summed.get(i, 0) for i in kernels} == {
         i: len(k.entries) for i, k in kernels.items()}
+
+
+def test_run_family_diagnostics_sums_each_half_inner_product_once(monkeypatch):
+    # ef3, prop24_gap and lemma_l2_combination (each through moment3) and
+    # lemma_l11_gap all read <f, f ~x_{n/2} f>; <f, f> is the norm memo
+    pairs, members, inner = [], [], SymmetricKernel.inner
+
+    def counting_inner(self, other):
+        if other is not self:
+            pairs.append((id(self), id(other)))
+        return inner(self, other)
+
+    def member(m):
+        members.append(gaussian_clt_family()(m))
+        return members[-1]
+
+    monkeypatch.setattr(SymmetricKernel, "inner", counting_inner)
+    report = run_family_diagnostics(KernelFamily("clt", 2, member), [16, 64],
+                                    beta_target(2.0, 3.0))
+    assert all("lemma_l11_gap" in rec for rec in report.members)
+    assert sorted(pairs) == sorted((id(f), id(f.self_contraction(1))) for f in members)
 
 
 def test_run_family_diagnostics_guards():

@@ -189,6 +189,23 @@ def test_density_matches_scipy_pdf(target, law):
 
 
 @pytest.mark.parametrize("target, law", DENSITY_CASES, ids=DENSITY_IDS)
+def test_density_of_a_float_equals_the_array_path_bit_for_bit(target, law):
+    # a float or an array inside the support skips the masks, but must take
+    # the same numpy loops: a 0-d array's ``** 2`` can differ in the last bit
+    l, u = target.support
+    xs = np.asarray(target.ppf(np.linspace(0.0, 1.0, 5002)[1:-1]), dtype=float)
+    extra = [math.nan, -math.inf, math.inf]
+    for end, inward in ((l, math.inf), (u, -math.inf)):
+        if math.isfinite(end):  # the end, the float beside it, a point outside
+            extra += [end, math.nextafter(end, inward), end - math.copysign(1.0, inward)]
+    mixed = np.concatenate([xs, extra])
+    got = target.density(mixed)
+    assert np.array_equal(target.density(xs), got[:len(xs)])
+    floats = np.array([target.density(x) for x in mixed.tolist()])
+    assert np.array_equal(floats, got, equal_nan=True)
+
+
+@pytest.mark.parametrize("target, law", DENSITY_CASES, ids=DENSITY_IDS)
 def test_density_vanishes_outside_support_and_matches_at_endpoints(target, law):
     l, u = target.support
     outside = [v for v in (l - 1.0, u + 1.0) if math.isfinite(v)]
