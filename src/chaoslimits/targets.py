@@ -36,6 +36,13 @@ every target, and a piece where f p needs it (f oscillating in a wide tail
 piece) is halved for that f.  Only ``validate`` calls adaptive ``quad``, as
 a check independent of the table.
 
+``named_target`` returns one target per law per process, keyed by the name
+and the parameters as floats, so each law's table is built once however
+many questions ask of it.  The interning keeps the last _INTERNED laws
+asked for, so a parameter sweep holds no more tables than that; the
+constructors (``normal_target``, ...) build a fresh target on every call.
+A target's ``params`` are read-only, since callers of a law share them.
+
 A nearer-tail quotient (a numeric a(x), a Stein solution) takes one tail
 call on an array of points: the cumulative sum of the point's own side of
 its pivot plus one partial piece.
@@ -51,7 +58,6 @@ on a centered target; ``poly_moments`` reads its second to fourth rungs.
 from __future__ import annotations
 
 import bisect
-import copy
 import functools
 import math
 import warnings
@@ -87,6 +93,10 @@ _INSET_FRAC = 1e-8
 _VALIDATE_TOL = 1e-8  # validate's bound on |mass - 1| and |int b p|
 _FD_STEP = 1e-5  # finite-difference step, as a fraction of the length scale
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # five-point offsets, in steps
+_INTERNED = 32  # named laws kept by ``named_target``
+# |y| past which y * y nears overflow; exp(-y^2 / 2) and the Student density
+# (1 + y^2 / nu)^(-(nu + 1) / 2) underflow to 0 well before it
+_FAR = 1e150
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,20 @@ class DiffusionCoefficient:
         return float(out) if out.ndim == 0 else out
 
 
+class _ReadOnlyParams(dict):
+    """A target's parameters: a dict that refuses changes, since every
+    caller of ``named_target`` for one law shares its target."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("target parameters are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # copy and pickle rebuild it from a plain dict
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class TargetMeasure:
     """A density on (l, u), its cdf and ppf, and its diffusion pair (a, b).
@@ -161,6 +185,9 @@ class TargetMeasure:
     _table: object = field(default=None, repr=False, compare=False)
     # (rng, count) -> count exact draws; None draws by inverse cdf
     _draw: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", _ReadOnlyParams(self.params))
 
     def _integrals(self):
         if self._table is None:
@@ -263,12 +290,14 @@ class TargetMeasure:
         return np.asarray(self.ppf(rng.uniform(size=count)), dtype=float)
 
 
-def _closed_form_density(logpdf, support, edges):
+def _closed_form_density(logpdf, support, edges, far=math.inf):
     """density(x) from a closed-form numpy log-density on the open support.
 
-    ``logpdf`` is evaluated on the interior points; ``edges`` are the
-    density's values at the lower and upper endpoints; outside the support
-    it is 0.  A scalar x gives a float.
+    ``logpdf`` is evaluated on the interior points with |x| < ``far``;
+    ``edges`` are the density's values at the lower and upper endpoints;
+    elsewhere it is 0: outside the support, and at |x| >= ``far``, where
+    the density has underflowed to 0 and ``logpdf`` could overflow.  A
+    scalar x gives a float.
 
     A float or an array strictly inside the support skips the masks.  Such a
     float is evaluated as a 1-element array, as the masked path does: numpy's
@@ -278,12 +307,13 @@ def _closed_form_density(logpdf, support, edges):
     """
     lo, hi = support
     p_lo, p_hi = edges
+    a, b = max(lo, -far), min(hi, far)  # where logpdf is read
 
     def density(x):
-        if isinstance(x, float) and lo < x < hi:  # quad's calls
+        if isinstance(x, float) and a < x < b:  # quad's calls
             return np.exp(logpdf(np.array([x]))).item()
         x = np.asarray(x, dtype=float)
-        inside = (lo < x) & (x < hi)
+        inside = (a < x) & (x < b)
         if x.ndim and inside.all():
             out = np.exp(logpdf(np.ascontiguousarray(x)))
             return out if out.shape == x.shape else np.full(x.shape, out)
@@ -348,21 +378,22 @@ def _finite(**params):
 
 
 def _named_target(name, law, logpdf, coeff, params, ends=((0.0, 0.0), (0.0, 0.0)),
-                  moment_bound=math.inf, mean_shift=0.0):
+                  moment_bound=math.inf, mean_shift=0.0, far=math.inf):
     """Named target: closed-form density and the support, cdf, ppf and exact
     draws of ``law`` (from ``_law``).  ``ends`` holds (e, c) for each end,
     where the density behaves as c d^e in the distance d to it: its value
-    there is inf, c or 0, and the table integrates against d^e beside it."""
+    there is inf, c or 0, and the table integrates against d^e beside it.
+    The density is 0 at |x| >= ``far`` (``_closed_form_density``)."""
     support, cdf, ppf, draw = law
     edges = tuple(math.inf if e < 0 else c if e == 0 else 0.0 for e, c in ends)
     return TargetMeasure(
         name=name,
         support=support,
-        density=_closed_form_density(logpdf, support, edges),
+        density=_closed_form_density(logpdf, support, edges, far),
         coeff=coeff,
         cdf=cdf,
         ppf=ppf,
-        params=dict(params),
+        params=params,
         moment_bound=moment_bound,
         mean_shift=mean_shift,
         _end_powers=tuple(e for e, _ in ends),
@@ -382,7 +413,7 @@ def normal_target(gamma=1.0):
                        lambda rng, n: rng.standard_normal(n), scale=s),
         lambda x: c - 0.5 * (x / s) ** 2,
         DiffusionCoefficient.polynomial(0.0, 0.0, 2.0 * g),
-        {"gamma": g},
+        {"gamma": g}, far=_FAR * s,
     )
 
 
@@ -400,7 +431,7 @@ def student_target(nu):
              lambda rng, n: rng.standard_t(nu, n)),
         lambda x: c - 0.5 * (nu + 1.0) * np.log1p(x * x / nu),
         DiffusionCoefficient.polynomial(al, 0.0, 2.0 * nu / (nu - 1.0)),
-        {"nu": nu}, moment_bound=nu,
+        {"nu": nu}, moment_bound=nu, far=_FAR,
     )
 
 
@@ -552,17 +583,29 @@ NAMED_TARGETS = {
 
 
 def named_target(name, **params):
-    """Build one of the eight named targets from keyword parameters."""
+    """One of the eight named targets from keyword parameters.
+
+    Equal laws share one target: the parameters are keyed as floats, so
+    ``2``, ``2.0`` and ``np.float64(2)`` give the same object, and its table
+    is built once.  The last _INTERNED laws asked for are kept; a rejected
+    parameter raises on every call.
+    """
     if name not in NAMED_TARGETS:
         raise ValueError(f"unknown target {name!r}; choose from {sorted(NAMED_TARGETS)}")
-    ctor, wanted = NAMED_TARGETS[name]
+    wanted = NAMED_TARGETS[name][1]
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]
     if missing:
         raise ValueError(f"target {name!r} needs parameter(s) {missing}")
     if extra:
         raise ValueError(f"target {name!r} got unexpected parameter(s) {extra}")
-    return ctor(**params)
+    return _interned_target(name, tuple(float(params[p]) for p in wanted))
+
+
+@functools.lru_cache(maxsize=_INTERNED)
+def _interned_target(name, values):
+    """The constructor's target at ``values``, in ``NAMED_TARGETS`` order."""
+    return NAMED_TARGETS[name][0](*values)
 
 
 _NODES = 20
@@ -623,14 +666,19 @@ class _PieceTable:
             else:
                 continue
             self.side[k] = sign
-        # Python lists serve one point at a time (a chain step, a Stein value)
-        self.lists = [a.tolist() for a in (b, self.side, self.reach, self.power, self.parent)]
         self.mass = 1.0 if mass is None else mass
         self.nodes, self.weights = self._rule(
             np.arange(count), np.where(self.side > 0, b[:-1], b[1:]), self.side <= 0)
         if mass is None:
             self.mass = float(np.sum(self.weights))
             self.weights = self.weights / self.mass
+
+    @functools.cached_property
+    def lists(self):
+        """Python lists to serve one point at a time (a chain step, a Stein
+        value): breaks, side, reach, power and parent."""
+        return [a.tolist() for a in (self.breaks, self.side, self.reach, self.power,
+                                     self.parent)]
 
     def _rule(self, k, x, lower):
         """Nodes and p-weighted weights of the part of piece k below x if
@@ -683,7 +731,9 @@ class _PieceTable:
                 break
             # splice the halves in place of the picked pieces; they are checked next
             k = check[pick]
-            idx = np.repeat(np.arange(len(table.side)), 1 + np.isin(np.arange(len(table.side)), k))
+            reps = np.ones(len(table.side), dtype=int)
+            reps[k] = 2
+            idx = np.repeat(np.arange(len(reps)), reps)
             check = k + np.arange(len(k))
             table = table._spliced(idx, np.insert(table.breaks, k + 1, mid[pick]),
                                    check, [(y[pick], w[pick]) for y, w in halves])
@@ -697,14 +747,13 @@ class _PieceTable:
         return table, values
 
     def _spliced(self, idx, breaks, lo, halves):
-        """A copy with piece idx[j] at row j and the given breaks, the rows
+        """A table with piece idx[j] at row j and the given breaks, the rows
         lo and lo + 1 holding the (nodes, weights) of the halves."""
-        new = copy.copy(self)
-        new.breaks = breaks
+        new = object.__new__(_PieceTable)
+        new.breaks, new.piece_density, new.mass = breaks, self.piece_density, self.mass
         for name in ("parent", "t", "w", "side", "reach", "power", "nodes", "weights"):
             setattr(new, name, getattr(self, name)[idx])
         (new.nodes[lo], new.weights[lo]), (new.nodes[lo + 1], new.weights[lo + 1]) = halves
-        new.lists = [a.tolist() for a in (breaks, new.side, new.reach, new.power, new.parent)]
         return new
 
     def integral(self, fn):
@@ -725,10 +774,10 @@ class _PieceTable:
         pieces = (values - mean * table.weights).sum(axis=-1)
         left_sum = np.concatenate([[0.0], np.cumsum(pieces)])
         right_sum = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
-        breaks, sides, reach, powers, parents = table.lists
 
         def tail(x, left):
             if isinstance(x, float) or np.ndim(x) == 0:
+                breaks, sides, reach, powers, parents = table.lists
                 x = float(x)
                 k = min(max(bisect.bisect_right(breaks, x) - 1, 0), len(sides) - 1)
                 lower = left if sides[k] == 0 else sides[k] < 0
@@ -744,7 +793,8 @@ class _PieceTable:
                     return float(left_sum[k] + part if lower else left_sum[k + 1] - part)
                 return float(part - right_sum[k] if lower else -(right_sum[k + 1] + part))
             x = np.asarray(x, dtype=float)
-            k = np.clip(np.searchsorted(table.breaks, x, side="right") - 1, 0, len(sides) - 1)
+            k = np.clip(np.searchsorted(table.breaks, x, side="right") - 1, 0,
+                        len(table.side) - 1)
             lower = np.where(table.side[k] == 0, left, table.side[k] < 0)
             y, w = table._rule(k, x, lower)
             part = ((fn(y) - mean) * w).sum(axis=-1)

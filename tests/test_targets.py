@@ -1,4 +1,5 @@
 """Target measures: coefficient closed forms, moments, Stein solutions."""
+import copy
 import json
 import math
 import pathlib
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.polynomial import Polynomial
 
+import chaoslimits.io
+import chaoslimits.targets
 from chaoslimits import (
     NAMED_TARGETS,
     DiffusionCoefficient,
@@ -340,6 +343,127 @@ def test_named_target_dispatch():
         named_target("cauchy")
 
 
+# --- interned named targets --------------------------------------------------------
+
+# the eight named targets' parameters in the CLI goldens and the CI stein-check step
+GOLDEN_PARAMS = {"normal": {"gamma": 1.0}, "student": {"nu": 7.0}, "pareto": {"nu": 5.0},
+                 "gamma": {"a": 2.0, "lam": 1.0}, "inverse_gamma": {"delta": 3.0, "lam": 4.0},
+                 "f": {"a": 6.0, "b": 10.0}, "uniform": {}, "beta": {"a": 2.0, "b": 3.0}}
+
+
+@pytest.fixture
+def fresh_interning():
+    """No law interned before the test, none left after it."""
+    chaoslimits.targets._interned_target.cache_clear()
+    yield chaoslimits.targets._interned_target
+    chaoslimits.targets._interned_target.cache_clear()
+
+
+def test_named_target_gives_one_object_per_law(fresh_interning):
+    t = named_target("normal", gamma=2)
+    assert named_target("normal", gamma=2.0) is t
+    assert named_target("normal", gamma=np.float64(2.0)) is t
+    assert named_target("beta", b=3, a=2.0) is named_target("beta", a=2.0, b=3.0)
+    assert named_target("normal", gamma=2.5) is not t
+    assert named_target("gamma", a=2.0, lam=1.0) is not named_target("beta", a=2.0, b=1.0)
+    assert named_target("uniform") is named_target("uniform")
+    # the constructors build a fresh target on every call
+    assert normal_target(2.0) is not t and normal_target(2.0) is not normal_target(2.0)
+
+
+@pytest.mark.parametrize("name, params, match", [
+    ("normal", {"gamma": -1.0}, "gamma > 0"),
+    ("normal", {"gamma": math.nan}, "parameter gamma must be finite"),
+    ("beta", {"a": 2.0, "b": math.inf}, "parameter b must be finite"),
+    ("student", {"nu": 2}, "nu > 2"),
+])
+def test_named_target_raises_on_every_call_for_a_rejected_parameter(
+        fresh_interning, name, params, match):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=match):
+            named_target(name, **params)
+    assert fresh_interning.cache_info().currsize == 0
+
+
+def test_named_target_interning_stays_within_its_bound(fresh_interning):
+    bound = chaoslimits.targets._INTERNED
+    first = named_target("normal", gamma=1.0)
+    for k in range(bound + 8):
+        named_target("gamma", a=1.0 + k, lam=1.0)
+    info = fresh_interning.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+    assert named_target("normal", gamma=1.0) is not first  # the oldest law was dropped
+
+
+def test_target_params_are_read_only(fresh_interning):
+    t = named_target("gamma", a=2.0, lam=1.0)
+    for change in (lambda p: p.__setitem__("a", 3.0), lambda p: p.__delitem__("a"),
+                   lambda p: p.update(a=3.0), lambda p: p.setdefault("c", 1.0),
+                   lambda p: p.pop("a"), lambda p: p.popitem(), lambda p: p.clear(),
+                   lambda p: p.__ior__({"a": 3.0})):
+        with pytest.raises(TypeError, match="read-only"):
+            change(t.params)
+    assert named_target("gamma", a=2.0, lam=1.0).params == {"a": 2.0, "lam": 1.0}
+    assert repr(t.params) == "{'a': 2.0, 'lam': 1.0}" and t.params["lam"] == 1.0
+    plain = dict(t.params)
+    plain["a"] = 3.0  # a dict of them is the caller's own
+    assert t.params["a"] == 2.0
+    for twin in (copy.copy(t), copy.deepcopy(t)):
+        assert twin.params == t.params and type(twin.params) is type(t.params)
+    assert chaoslimits.io.target_to_dict(t) == {"name": "gamma",
+                                               "params": {"a": 2.0, "lambda": 1.0}}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PARAMS))
+def test_interned_law_answers_equal_a_fresh_target_bit_for_bit(fresh_interning, name):
+    # the second question on an interned law reads the table the first one
+    # built; student with sin halves pieces over several rounds
+    params = GOLDEN_PARAMS[name]
+
+    def answers(t):
+        xs = t.interior_grid(7)
+        return [stein_solution_residual(t, f, xs)
+                for f in (lambda y: y**2, lambda y: y**3, np.sin)] + [
+            np.array([stein_identity_residual(t, np.sin, np.cos), t.moment(2)])]
+
+    interned = named_target(name, **params)
+    answers(interned)
+    again = answers(named_target(name, **params))
+    fresh = answers(NAMED_TARGETS[name][0](**params))
+    for got, want in zip(again, fresh):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_two_stein_calls_on_an_interned_law_build_one_table(fresh_interning, monkeypatch):
+    built = []
+    original = chaoslimits.targets._target_table
+
+    def counting(target):
+        built.append(target)
+        return original(target)
+
+    monkeypatch.setattr(chaoslimits.targets, "_target_table", counting)
+    for f in (lambda y: y**2, np.sin):
+        t = named_target("beta", a=2, b=3)
+        stein_solution_residual(t, f, t.interior_grid(5))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PARAMS))
+def test_named_densities_far_out_are_zero_without_warnings(name):
+    # the normal and Student log-densities square x: past 1e154 that overflows
+    t = NAMED_TARGETS[name][0](**GOLDEN_PARAMS[name])
+    far = [1e200, -1e200, 1e300, -1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in far:
+            p = t.density(x)
+            assert type(p) is float and p == 0.0
+        assert np.array_equal(t.density(np.array(far)), np.zeros(4))
+        inside = t.interior_grid(5)
+        assert np.all(t.density(np.concatenate([inside, far]))[:5] == t.density(inside))
+
+
 # --- moments -------------------------------------------------------------------------
 
 def test_poly_moments_student5():
@@ -599,12 +723,7 @@ def test_stein_solution_mean_value_recorded():
     assert math.isclose(g.mean_value, t.moment(2), rel_tol=1e-8)
 
 
-# the eight named targets at the parameters of the CLI goldens
-GOLDEN_TARGETS = [
-    normal_target(1.0), student_target(7.0), pareto_target(5.0),
-    gamma_target(2.0, 1.0), inverse_gamma_target(3.0, 4.0),
-    fdist_target(6.0, 10.0), uniform_centered_target(), beta_target(2.0, 3.0),
-]
+GOLDEN_TARGETS = [NAMED_TARGETS[name][0](**params) for name, params in GOLDEN_PARAMS.items()]
 
 
 def _counting_quad(monkeypatch):
