@@ -154,12 +154,14 @@ class SymmetricKernel:
     ``entries`` maps each canonical (sorted) multi-index to the common value
     of the tensor on that orbit; indices missing from the map are zero.
     Treat instances as immutable: all operations return new kernels, and
-    three memos assume that ``entries`` is never mutated: ``norm_sq`` keeps
-    ||f||^2 (which ``f.inner(f)`` returns), ``self_contraction`` keeps each
-    f ~x_p f, and ``_inner_half`` keeps <f, f ~x_{n/2} f>.  The memos are
-    not dataclass fields, so ``==`` and ``repr`` do not see them.  The exact
-    diagnostics read them, and a Stein level that holds only c f ~x_r f is
-    normed in one pass over the memoized contraction (``_norm_sq(entries, c)``).
+    four memos assume that ``entries`` is never mutated: ``_norm_at`` keeps
+    ||c f||^2 for each finite scale c (``norm_sq`` is c = 1, which
+    ``f.inner(f)`` returns), ``self_contraction`` keeps each f ~x_p f,
+    ``_inner_half`` keeps <f, f ~x_{n/2} f>, and once f is multiplied by
+    itself, ``_squares`` keeps F F and <DF, DF> for F = I_n(f).  The memos
+    are not dataclass fields, so ``==`` and ``repr`` do not see them.  The
+    exact diagnostics read them, and a Stein level that holds only
+    c f ~x_r f is the memoized norm of the memoized contraction at scale c.
     """
 
     dim: int
@@ -179,8 +181,8 @@ class SymmetricKernel:
         self._start_memos(dim, order, clean)
 
     def _start_memos(self, dim, order, entries):
-        vars(self).update(dim=dim, order=order, entries=entries,
-                          _self_contractions={}, _norm_sq=None, _half=None)
+        vars(self).update(dim=dim, order=order, entries=entries, _norms={},
+                          _self_contractions={}, _half=None, _squares=None)
 
     @classmethod
     def _trusted(cls, dim, order, entries):
@@ -224,9 +226,18 @@ class SymmetricKernel:
     # --- metric ----------------------------------------------------------
     def norm_sq(self):
         """||f||^2, summed on first use and kept on this kernel."""
-        if self._norm_sq is None:
-            object.__setattr__(self, "_norm_sq", _norm_sq(self.entries))
-        return self._norm_sq
+        return self._norm_at(1.0)
+
+    def _norm_at(self, c):
+        """||c f||^2 as ``_norm_sq(entries, c)`` sums it, kept on this kernel
+        for a finite c (a nan key never hits, so it is summed each time)."""
+        norms = self._norms
+        if c in norms:
+            return norms[c]
+        total = _norm_sq(self.entries, c)
+        if math.isfinite(c):
+            norms[c] = total
+        return total
 
     def inner(self, other):
         """<f, g> in H^{tensor n} (both kernels symmetric), summed left to
@@ -402,7 +413,7 @@ class ChaosVector:
     def __post_init__(self):
         clean = {}
         for n, k in self.components.items():
-            n = int(n)
+            n = _check_int("level", n)
             if k.dim != self.dim:
                 raise ValueError("component dim mismatch")
             if k.order != n:
@@ -553,10 +564,26 @@ def _product_levels(F, G, first):
     order, the values and order of adding the terms up as kernels.  f ~x_r g
     is read from f's memo when g is f itself.  ``_add_into`` leaves no exact
     zero, so each level dict becomes its kernel as it is, with no copy.
+    When F and G are the one level of the same kernel object f, the vector
+    is built once and kept on f (``f._squares[first]``): callers share it
+    and must not mutate it.
     """
     F, G = _vector(F), _vector(G)
     if F.dim != G.dim:
         raise ValueError("dims differ")
+    if len(F.components) == len(G.components) == 1:
+        [f], [g] = F.components.values(), G.components.values()
+        if f is g:
+            if f._squares is None:
+                object.__setattr__(f, "_squares", {})
+            if first not in f._squares:
+                f._squares[first] = _sum_levels(F, F, first)
+            return f._squares[first]
+    return _sum_levels(F, G, first)
+
+
+def _sum_levels(F, G, first):
+    """``_product_levels`` of two chaos vectors, computed afresh."""
     out = {}
     for n, fn in F.components.items():
         for m, gm in G.components.items():
@@ -572,6 +599,9 @@ def chaos_product(F, G):
     """Product of two chaos vectors via the multiplication formula
 
     I_n(f) I_m(g) = sum_{r=0}^{n^m} r! C(n,r) C(m,r) I_{n+m-2r}(f (x)_r g).
+
+    The square of one kernel's integral is kept on the kernel and shared
+    by every caller, so it is not to be mutated.
     """
     return _product_levels(F, G, 0)
 
@@ -601,7 +631,8 @@ def malliavin_inner(F, G):
         n m sum_{r=1}^{min(n,m)} (r-1)! C(n-1,r-1) C(m-1,r-1) I_{n+m-2r}(f (x)_r g),
 
     the product formula's terms r >= 1 weighted by r, since
-    n m (r-1)! C(n-1,r-1) C(m-1,r-1) = r r! C(n,r) C(m,r).
+    n m (r-1)! C(n-1,r-1) C(m-1,r-1) = r r! C(n,r) C(m,r).  <DF, DF> of one
+    kernel's integral is kept on the kernel and shared, as in ``chaos_product``.
     """
     return _product_levels(F, G, 1)
 
@@ -686,9 +717,8 @@ def sample_gaussian(dim, count, seed):
 
 def random_kernel(rng, dim, order, nnz):
     """Random sparse symmetric kernel: nnz distinct orbits, values U(-1, 1)."""
+    nnz = min(_check_int("nnz", nnz), math.comb(dim + order - 1, order))
     keys = set()
-    limit = math.comb(dim + order - 1, order)
-    nnz = min(nnz, limit)
     while len(keys) < nnz:
         keys.add(tuple(sorted(int(i) for i in rng.integers(0, dim, size=order))))
     return SymmetricKernel(

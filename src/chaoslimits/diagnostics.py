@@ -286,9 +286,11 @@ def stein_residual_l2(f, coeff):
     alpha^2/4 (2 E[F^2]^2 + sum (3r/n - 1) w_r).  Unlike the moment form, the
     sum cannot cancel below zero.  Each level takes the kernel operators'
     steps on entry dicts (``chaos._scaled``, ``chaos._add_into``) around the
-    memoized f ~x_r f, so it has the bits of the kernel-operator form; a
+    memoized f ~x_r f, so it has the bits of the kernel-operator form.  A
     level whose g is empty (alpha = 0, outside levels 0 and n) is the norm
-    of -c f ~x_r f alone, summed in one pass by ``chaos._norm_sq``."""
+    of -c f ~x_r f alone, with c fixed by (n, r) and not by the target, so
+    it is read from the contraction's per-scale norm memo (``_norm_at``), as
+    is the odd level's ||beta f||^2: both are summed once per kernel."""
     alpha, beta, gamma = _as_coeff_tuple(coeff)
     n = f.order
     if n == 0:
@@ -297,18 +299,20 @@ def stein_residual_l2(f, coeff):
     for k in range(2 * n):
         if k % 2 == 0:
             r = n - k // 2
-            s = f.self_contraction(r).entries
+            s = f.self_contraction(r)
             g = {(): gamma} if k == 0 and gamma else {}
             if k == n and beta:
                 _add_into(g, f.entries, beta)
             if alpha:
-                _add_into(g, _scaled(s, math.factorial(r) * math.comb(n, r) ** 2), alpha)
+                _add_into(g, _scaled(s.entries, math.factorial(r) * math.comb(n, r) ** 2),
+                          alpha)
             # 0.5 g - c s, with (-c) v the bits of -(c v)
             c = float(-n * math.factorial(r - 1) * math.comb(n - 1, r - 1) ** 2)
-            level = _norm_sq(_add_into(_scaled(g, 0.5), s, c)) if g else _norm_sq(s, c)
+            level = (_norm_sq(_add_into(_scaled(g, 0.5), s.entries, c)) if g
+                     else s._norm_at(c))
             total += math.factorial(k) * level
         elif k == n and beta:
-            total += 0.25 * math.factorial(n) * _norm_sq(f.entries, beta)
+            total += 0.25 * math.factorial(n) * f._norm_at(beta)
     if alpha:
         ef2 = f.scaled_norm_sq()
         total += 0.25 * alpha**2 * _weights_sum(f, 2.0 * ef2 * ef2,
@@ -471,13 +475,11 @@ def gaussian_clt_family():
 
 def gamma_fixed_family(k=1):
     """f = sum_{i<k} e_i^{x2}, constant in m: F ~ centered Gamma(k/2, 1/2),
-    for an integer k >= 1."""
+    for an integer k >= 1.  The kernel is built once, with the family, and
+    is the member at every m, so its memos serve the whole sweep."""
     k = _check_int("k", k, 1)
-
-    def member(m):
-        return SymmetricKernel._trusted(k, 2, {(i, i): 1.0 for i in range(k)})
-
-    return KernelFamily("gamma_fixed", 2, member)
+    f = SymmetricKernel._trusted(k, 2, {(i, i): 1.0 for i in range(k)})
+    return KernelFamily("gamma_fixed", 2, lambda m: f)
 
 
 BUILTIN_FAMILIES = {

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from chaoslimits import (
@@ -30,6 +30,7 @@ from chaoslimits import (
     wick_moment,
 )
 
+from chaoslimits.chaos import _norm_sq, _scaled
 from oracles import (
     dense,
     dense_block,
@@ -147,6 +148,17 @@ def test_kernel_converts_numpy_int_indices_and_shape():
     assert all(type(idx) is tuple and all(type(i) is int for i in idx)
                for idx in k.entries)
     assert k == SymmetricKernel(3, 2, {(0, 2): 1.5})
+
+
+def test_chaos_vector_rejects_non_integer_levels():
+    # a level key is checked as dims and orders are, not truncated by int()
+    f = SymmetricKernel(3, 2, {(0, 1): 1.0})
+    g = SymmetricKernel(3, 1, {(2,): 1.0})
+    for components in ({2.7: f}, {2.0: f}, {True: g}, {"2": f}, {-2: f}):
+        with pytest.raises(ValueError, match="level"):
+            ChaosVector(3, components)
+    V = ChaosVector(3, {np.int64(2): f, 1: g})
+    assert list(V.components) == [2, 1] and all(type(n) is int for n in V.components)
 
 
 def test_kernel_prunes_exact_zeros():
@@ -607,6 +619,59 @@ def test_product_levels_equal_the_validating_constructors(data, d, scale):
             _assert_validated_form(k)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), d=hst.integers(1, 3), n=hst.integers(1, 3),
+       scale=hst.sampled_from([1.0, 1e-160]))
+def test_memoized_square_equals_a_fresh_one(data, d, n, scale):
+    # F F and <DF, DF> of one kernel are built once and shared; they must be
+    # what a distinct equal copy builds afresh, level by level, entry by entry
+    f = data.draw(_integer_vectors(d, scale)).level(n)
+    assume(f.entries)  # a zero kernel is no level of a vector
+    copy = SymmetricKernel(d, n, dict(f.entries))
+    assert f == copy and f is not copy
+    for product in (chaos_product, malliavin_inner):
+        P = product(f, f)
+        F = ChaosVector.from_kernel(f)
+        assert product(F, F) is P and product(f, f) is P
+        fresh = product(copy, copy)
+        assert P == fresh and _levels(P) == _levels(fresh)
+        assert _levels(P) == _levels(product(f, ChaosVector.from_kernel(copy)))
+        want = ChaosVector(d, {k: SymmetricKernel(d, k, dict(h.entries))
+                               for k, h in P.components.items()})
+        assert P == want and _levels(P) == _levels(want)
+
+
+def test_a_product_of_equal_distinct_kernels_is_not_kept():
+    # the square memo is keyed by identity, never by ``==`` on the entries
+    f = SymmetricKernel(2, 2, {(0, 0): 0.5, (0, 1): -1.0})
+    g = SymmetricKernel(2, 2, dict(f.entries))
+    for product in (chaos_product, malliavin_inner):
+        assert product(f, g) is not product(f, g)
+        assert product(f, g) == product(g, f)
+    assert f._squares is None and g._squares is None
+    # a vector with more than one level is not a kernel's square
+    V = ChaosVector(2, {0: SymmetricKernel.constant(2, 1.0), 2: f})
+    assert chaos_product(V, V) is not chaos_product(V, V)
+    assert f._squares is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), d=hst.integers(1, 3), n=hst.integers(0, 3),
+       scale=hst.sampled_from([1.0, 1e-160]))
+def test_norm_memo_keeps_the_bits_at_every_scale(data, d, n, scale):
+    # -0.0 shares 0.0's key, and both give the int 0 of an all-skipped sum;
+    # at 1e-160 the squares underflow to 0.0, which are still summed
+    f = data.draw(_integer_vectors(d, scale)).level(n)
+    for c in (1.0, -3.0, 0.0, -0.0, 1e-160, 1.0, -0.0):
+        got = f._norm_at(c)
+        want = _norm_sq(_scaled(f.entries, c))
+        assert got == want == (c * f).norm_sq()
+        assert type(got) is type(want) is type((c * f).norm_sq())
+        assert f._norm_at(c) is got
+    assert f.norm_sq() is f._norm_at(1.0)
+    assert len(f._norms) == 4
+
+
 # --- malliavin operators ---------------------------------------------------------------
 
 def test_malliavin_inner_matches_slice_route_pathwise():
@@ -700,6 +765,25 @@ def test_sample_gaussian_is_deterministic():
                           sample_gaussian(3, 50, seed=9))
     assert not np.array_equal(sample_gaussian(3, 50, seed=9),
                               sample_gaussian(3, 50, seed=10))
+
+
+@pytest.mark.parametrize("nnz", [2.5, True, -3, "2", None])
+def test_random_kernel_rejects_a_non_integer_nnz_before_drawing(nnz):
+    rng = np.random.default_rng(83)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="nnz"):
+        random_kernel(rng, 3, 2, nnz)
+    assert rng.bit_generator.state == state
+
+
+def test_random_kernel_draws_the_same_for_any_integer_nnz():
+    want = random_kernel(np.random.default_rng(5), 3, 2, 2)
+    assert len(want.entries) == 2
+    got = random_kernel(np.random.default_rng(5), 3, 2, np.int64(2))
+    assert list(got.entries.items()) == list(want.entries.items())
+    # nnz beyond the number of orbits gets them all; nnz = 0 draws nothing
+    assert len(random_kernel(np.random.default_rng(5), 3, 2, 100).entries) == 6
+    assert random_kernel(np.random.default_rng(5), 3, 2, 0).entries == {}
 
 
 def test_random_kernel_shape():

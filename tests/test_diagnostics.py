@@ -1,4 +1,6 @@
 """Moment diagnostics, the coefficient classifier, and kernel families."""
+import dataclasses
+import itertools
 import math
 import time
 
@@ -13,6 +15,7 @@ from chaoslimits import (
     SymmetricKernel,
     beta_target,
     c_n,
+    chaos_product,
     classifier,
     classifier_c0,
     classifier_delta,
@@ -20,12 +23,14 @@ from chaoslimits import (
     derivative_slices,
     ec_roots,
     eval_multiple_integral,
+    expect_product,
     gamma_fixed_family,
     gamma_kernel_gap,
     gamma_target,
     gaussian_clt_family,
     lemma_l2_combination,
     lemma_l11_gap,
+    malliavin_inner,
     mc_twins,
     moment3,
     moment4,
@@ -609,10 +614,80 @@ def test_self_contraction_memo_stays_out_of_eq_and_repr():
     assert used.self_contraction(1) is h
     assert used.norm_sq() == used.norm_sq() == 0.5**2 + 2 * 1.0 + 2 * 0.25**2
     assert used.inner(used) is used.norm_sq()
+    assert used._norm_at(-3.0) == fresh._norm_at(-3.0) == 9.0 * used.norm_sq()
     third = moment3(used)
     assert moment3(used) == third == moment3(fresh)
     assert h == contract(fresh, fresh, 1).symmetrized()
+    square, energy = chaos_product(used, used), malliavin_inner(used, used)
+    assert used._squares == {0: square, 1: energy} and fresh._squares is None
+    assert wick_moment([used], [4]) == expect_product(square, square)
     assert used == fresh and repr(used) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(used)] == ["dim", "order", "entries"]
+
+
+def test_stein_residual_keeps_its_bits_after_other_targets():
+    # levels outside 0 and n at alpha = 0 are read from the per-scale norm
+    # memos of the contractions; a memo filled by another target's call must
+    # give the bits of the kernel-operator form and of a fresh kernel
+    targets = [normal_target(2.0), gamma_target(2.0, 0.5), beta_target(2.0, 3.0),
+               uniform_centered_target()]
+    rng = np.random.default_rng(97)
+    for _ in range(6):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        f = random_kernel(rng, d, n, int(rng.integers(1, 8)))
+        for order in itertools.permutations(range(len(targets))):
+            used = SymmetricKernel(d, n, dict(f.entries))
+            for i in order:
+                coeff = targets[i].coeff.as_tuple()
+                want = operator_residual(SymmetricKernel(d, n, dict(f.entries)), coeff)
+                assert stein_residual_l2(used, coeff) == want
+                assert stein_residual_l2(used, coeff) == want
+
+
+def test_stein_residual_with_a_nan_beta_keeps_no_nan_norm():
+    # a nan key never hits a dict, so it is not kept: repeated calls leave
+    # the memos as one call does
+    f = random_kernel(np.random.default_rng(3), 3, 3, 6)
+
+    def memo_sizes():
+        kernels = [f] + [f.self_contraction(r) for r in range(1, 4)]
+        return [len(k._norms) for k in kernels]
+
+    assert math.isnan(stein_residual_l2(f, (0.0, math.nan, 1.0)))
+    once = memo_sizes()
+    for _ in range(100):
+        assert math.isnan(stein_residual_l2(f, (0.0, math.nan, 1.0)))
+    assert memo_sizes() == once
+    assert math.nan not in f._norms and len(f._norms) == 0
+
+
+def test_gamma_fixed_family_builds_its_member_once():
+    family = gamma_fixed_family(8)
+    assert family(1) is family(4) is family(10**6)
+    # built per family, not interned process-wide
+    assert gamma_fixed_family(8)(1) is not family(1)
+    assert gamma_fixed_family(8)(1) == family(1)
+
+
+def test_gamma_fixed_sweep_contracts_each_order_once(monkeypatch):
+    import chaoslimits.chaos
+    import chaoslimits.diagnostics
+
+    calls = []
+    original = chaoslimits.chaos.contract
+
+    def counting(f, g, r):
+        if f is g:
+            calls.append(r)
+        return original(f, g, r)
+
+    monkeypatch.setattr(chaoslimits.chaos, "contract", counting)
+    monkeypatch.setattr(chaoslimits.diagnostics, "contract", counting)
+    report = run_family_diagnostics(gamma_fixed_family(8), [1, 2, 3, 4],
+                                    gamma_target(4.0, 0.5))
+    assert sorted(calls) == [1, 2]
+    assert len(report.members) == 4
+    assert all(rec == dict(report.members[0], m=rec["m"]) for rec in report.members)
 
 
 def test_run_family_diagnostics_sums_each_norm_once(monkeypatch):
