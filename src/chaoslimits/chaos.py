@@ -153,15 +153,11 @@ class SymmetricKernel:
 
     ``entries`` maps each canonical (sorted) multi-index to the common value
     of the tensor on that orbit; indices missing from the map are zero.
-    Treat instances as immutable: all operations return new kernels, and
-    four memos assume that ``entries`` is never mutated: ``_norm_at`` keeps
-    ||c f||^2 for each finite scale c (``norm_sq`` is c = 1, which
-    ``f.inner(f)`` returns), ``self_contraction`` keeps each f ~x_p f,
-    ``_inner_half`` keeps <f, f ~x_{n/2} f>, and once f is multiplied by
-    itself, ``_squares`` keeps F F and <DF, DF> for F = I_n(f).  The memos
-    are not dataclass fields, so ``==`` and ``repr`` do not see them.  The
-    exact diagnostics read them, and a Stein level that holds only
-    c f ~x_r f is the memoized norm of the memoized contraction at scale c.
+    Treat instances as immutable: all operations return new kernels.  The
+    exact quantities derived from one kernel are kept in its one memo dict,
+    ``_memo``, which assumes ``entries`` is never mutated and is no dataclass
+    field, so ``==`` and ``repr`` do not see it; its keys are listed in the
+    README's design notes.
     """
 
     dim: int
@@ -177,12 +173,10 @@ class SymmetricKernel:
             _check_index(idx, order, dim)
             val = float(val)
             if val != 0.0:
+                if not math.isfinite(val):
+                    raise ValueError(f"index {idx!r} holds a non-finite value {val!r}")
                 clean[idx] = val
-        self._start_memos(dim, order, clean)
-
-    def _start_memos(self, dim, order, entries):
-        vars(self).update(dim=dim, order=order, entries=entries, _norms={},
-                          _self_contractions={}, _half=None, _squares=None)
+        vars(self).update(dim=dim, order=order, entries=clean, _memo={})
 
     @classmethod
     def _trusted(cls, dim, order, entries):
@@ -190,7 +184,7 @@ class SymmetricKernel:
         fresh dict the library made, canonical sorted int tuples in range
         mapped to nonzero floats, as ``_scaled`` and ``_add_into`` leave one."""
         k = object.__new__(cls)
-        k._start_memos(dim, order, entries)
+        vars(k).update(dim=dim, order=order, entries=entries, _memo={})
         return k
 
     # --- constructors -------------------------------------------------
@@ -231,13 +225,13 @@ class SymmetricKernel:
     def _norm_at(self, c):
         """||c f||^2 as ``_norm_sq(entries, c)`` sums it, kept on this kernel
         for a finite c (a nan key never hits, so it is summed each time)."""
-        norms = self._norms
-        if c in norms:
-            return norms[c]
-        total = _norm_sq(self.entries, c)
-        if math.isfinite(c):
-            norms[c] = total
-        return total
+        memo, key = self._memo, ("norm", c)
+        if key not in memo:
+            total = _norm_sq(self.entries, c)
+            if not math.isfinite(c):
+                return total
+            memo[key] = total
+        return memo[key]
 
     def inner(self, other):
         """<f, g> in H^{tensor n} (both kernels symmetric), summed left to
@@ -258,10 +252,10 @@ class SymmetricKernel:
 
     def _inner_half(self):
         """<f, f ~x_{n/2} f>, summed on first use and kept on this kernel."""
-        if self._half is None:
-            object.__setattr__(
-                self, "_half", self.inner(self.self_contraction(self.order // 2)))
-        return self._half
+        memo = self._memo
+        if "half" not in memo:
+            memo["half"] = self.inner(self.self_contraction(self.order // 2))
+        return memo["half"]
 
     # --- structural helpers ----------------------------------------------
     def slice_kernel(self, i):
@@ -281,10 +275,10 @@ class SymmetricKernel:
 
     def self_contraction(self, p):
         """f ~x_p f, computed on first use and kept on this kernel."""
-        memo = self._self_contractions
-        if p not in memo:
-            memo[p] = contract(self, self, p).symmetrized()
-        return memo[p]
+        memo, key = self._memo, ("contraction", p)
+        if key not in memo:
+            memo[key] = contract(self, self, p).symmetrized()
+        return memo[key]
 
 
 def symmetrize(raw, dim, order):
@@ -565,8 +559,8 @@ def _product_levels(F, G, first):
     is read from f's memo when g is f itself.  ``_add_into`` leaves no exact
     zero, so each level dict becomes its kernel as it is, with no copy.
     When F and G are the one level of the same kernel object f, the vector
-    is built once and kept on f (``f._squares[first]``): callers share it
-    and must not mutate it.
+    is built once and kept in f's memo (see the README's design notes):
+    callers share it and must not mutate it.
     """
     F, G = _vector(F), _vector(G)
     if F.dim != G.dim:
@@ -574,11 +568,10 @@ def _product_levels(F, G, first):
     if len(F.components) == len(G.components) == 1:
         [f], [g] = F.components.values(), G.components.values()
         if f is g:
-            if f._squares is None:
-                object.__setattr__(f, "_squares", {})
-            if first not in f._squares:
-                f._squares[first] = _sum_levels(F, F, first)
-            return f._squares[first]
+            memo, key = f._memo, ("square", first)
+            if key not in memo:
+                memo[key] = _sum_levels(F, F, first)
+            return memo[key]
     return _sum_levels(F, G, first)
 
 
@@ -600,14 +593,15 @@ def chaos_product(F, G):
 
     I_n(f) I_m(g) = sum_{r=0}^{n^m} r! C(n,r) C(m,r) I_{n+m-2r}(f (x)_r g).
 
-    The square of one kernel's integral is kept on the kernel and shared
-    by every caller, so it is not to be mutated.
+    The square of one kernel's integral is kept in the kernel's memo (see
+    the README's design notes) and shared, so it is not to be mutated.
     """
     return _product_levels(F, G, 0)
 
 
 def expect_product(F, G):
     """E[F G] = sum_k k! <f_k, g_k> (orthogonality of the chaoses)."""
+    F, G = _vector(F), _vector(G)
     total = 0.0
     for n, fn in F.components.items():
         gn = G.components.get(n)

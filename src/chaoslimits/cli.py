@@ -203,6 +203,8 @@ def _cmd_simulate(args):
         samples=args.samples,
         seed=args.seed,
     )
+    if args.out:  # an unwritable path fails here, before the chain runs
+        open(args.out, "a").close()
     emp = simulate(target, cfg)
     exact = EmpiricalDistribution(
         target.sample_exact(emp.count, seed=cfg.seed + 1)

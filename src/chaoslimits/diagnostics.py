@@ -289,8 +289,8 @@ def stein_residual_l2(f, coeff):
     memoized f ~x_r f, so it has the bits of the kernel-operator form.  A
     level whose g is empty (alpha = 0, outside levels 0 and n) is the norm
     of -c f ~x_r f alone, with c fixed by (n, r) and not by the target, so
-    it is read from the contraction's per-scale norm memo (``_norm_at``), as
-    is the odd level's ||beta f||^2: both are summed once per kernel."""
+    it is read from the contraction's memo (``_norm_at``; see the README's
+    design notes), as is the odd level's ||beta f||^2."""
     alpha, beta, gamma = _as_coeff_tuple(coeff)
     n = f.order
     if n == 0:

@@ -161,6 +161,16 @@ def test_chaos_vector_rejects_non_integer_levels():
     assert list(V.components) == [2, 1] and all(type(n) is int for n in V.components)
 
 
+def test_kernel_rejects_non_finite_values():
+    # a nan or inf entry would make every norm, moment and residual non-finite
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan"), "inf"):
+        with pytest.raises(ValueError, match=r"index \(0, 1\) .*non-finite"):
+            SymmetricKernel(2, 2, {(0, 0): 1.0, (0, 1): bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetrize({(1, 0): bad}, 2, 2)
+    assert SymmetricKernel(2, 2, {(0, 1): 1e308}).entries == {(0, 1): 1e308}
+
+
 def test_kernel_prunes_exact_zeros():
     k = SymmetricKernel(2, 2, {(0, 0): 0.0, (0, 1): 1.0})
     assert (0, 0) not in k.entries
@@ -563,6 +573,17 @@ def test_wick_moment_edge_cases():
             wick_moment([e], [power])
 
 
+def test_expect_product_takes_kernels_like_its_siblings():
+    rng = np.random.default_rng(29)
+    for n in range(4):
+        f, g = random_kernel(rng, 3, n, 4), random_kernel(rng, 3, n, 4)
+        F, G = ChaosVector.from_kernel(f), ChaosVector.from_kernel(g)
+        assert expect_product(f, f) == math.factorial(n) * f.norm_sq()
+        assert expect_product(f, g) == expect_product(F, G) == expect_product(F, g)
+    h = random_kernel(rng, 3, 2, 4)
+    assert expect_product(f, h) == 0.0  # orthogonal chaoses
+
+
 def test_wick_moment_equal_halves_reuse_one_product():
     rng = np.random.default_rng(73)
     for _ in range(10):
@@ -648,11 +669,14 @@ def test_a_product_of_equal_distinct_kernels_is_not_kept():
     for product in (chaos_product, malliavin_inner):
         assert product(f, g) is not product(f, g)
         assert product(f, g) == product(g, f)
-    assert f._squares is None and g._squares is None
-    # a vector with more than one level is not a kernel's square
+    assert f._memo == {} and g._memo == {}
+    # a vector with more than one level is not a kernel's square; its level
+    # f still reads its self-contractions from its memo
     V = ChaosVector(2, {0: SymmetricKernel.constant(2, 1.0), 2: f})
     assert chaos_product(V, V) is not chaos_product(V, V)
-    assert f._squares is None
+    assert set(f._memo) == {("contraction", 0), ("contraction", 1), ("contraction", 2)}
+    assert chaos_product(f, f) is chaos_product(f, f)
+    assert ("square", 0) in f._memo and ("square", 0) not in g._memo
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -669,7 +693,8 @@ def test_norm_memo_keeps_the_bits_at_every_scale(data, d, n, scale):
         assert type(got) is type(want) is type((c * f).norm_sq())
         assert f._norm_at(c) is got
     assert f.norm_sq() is f._norm_at(1.0)
-    assert len(f._norms) == 4
+    # one entry per distinct finite scale, -0.0 under 0.0's key
+    assert set(f._memo) == {("norm", c) for c in (1.0, -3.0, 0.0, 1e-160)}
 
 
 # --- malliavin operators ---------------------------------------------------------------

@@ -619,9 +619,10 @@ def test_self_contraction_memo_stays_out_of_eq_and_repr():
     assert moment3(used) == third == moment3(fresh)
     assert h == contract(fresh, fresh, 1).symmetrized()
     square, energy = chaos_product(used, used), malliavin_inner(used, used)
-    assert used._squares == {0: square, 1: energy} and fresh._squares is None
+    assert chaos_product(used, used) is square and malliavin_inner(used, used) is energy
+    assert used._memo[("square", 0)] is square and ("square", 0) not in fresh._memo
     assert wick_moment([used], [4]) == expect_product(square, square)
-    assert used == fresh and repr(used) == repr(fresh)
+    assert used == fresh and repr(used) == repr(fresh) and "_memo" not in repr(used)
     assert [f.name for f in dataclasses.fields(used)] == ["dim", "order", "entries"]
 
 
@@ -651,14 +652,14 @@ def test_stein_residual_with_a_nan_beta_keeps_no_nan_norm():
 
     def memo_sizes():
         kernels = [f] + [f.self_contraction(r) for r in range(1, 4)]
-        return [len(k._norms) for k in kernels]
+        return [len(k._memo) for k in kernels]
 
     assert math.isnan(stein_residual_l2(f, (0.0, math.nan, 1.0)))
     once = memo_sizes()
     for _ in range(100):
         assert math.isnan(stein_residual_l2(f, (0.0, math.nan, 1.0)))
     assert memo_sizes() == once
-    assert math.nan not in f._norms and len(f._norms) == 0
+    assert all(key[0] != "norm" for key in f._memo)
 
 
 def test_gamma_fixed_family_builds_its_member_once():

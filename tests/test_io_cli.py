@@ -198,6 +198,20 @@ def test_cli_simulate_and_out_file(capsys, tmp_path):
     assert out_file.read_bytes() == first
 
 
+def test_cli_simulate_to_an_unwritable_out_fails_before_the_chain(capsys, tmp_path,
+                                                                  monkeypatch):
+    def chain(*args):
+        raise AssertionError("the chain ran before --out was checked")
+
+    monkeypatch.setattr(cli, "simulate", chain)
+    out_file = tmp_path / "missing" / "run.txt"
+    code, out, err = run_cli(capsys, ["simulate", "--name", "normal", "--gamma", "1",
+                                      "--seed", "1", "--out", str(out_file)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "No such file or directory" in err
+    assert not out_file.parent.exists()
+
+
 def test_cli_stein_check_named(capsys):
     code, out, _ = run_cli(capsys, ["stein-check", "--name", "gamma",
                                     "--a", "2", "--lambda", "1"])
