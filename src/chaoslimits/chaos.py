@@ -101,6 +101,13 @@ def _counts(idx):
     return out
 
 
+def _entry_float(idx, val):
+    try:
+        return float(val)
+    except OverflowError:
+        raise ValueError(f"index {idx!r} holds a value too large for a float") from None
+
+
 def _check_index(idx, order, dim):
     if len(idx) != order:
         raise ValueError(f"index {idx!r} has length {len(idx)}, expected {order}")
@@ -154,10 +161,10 @@ class SymmetricKernel:
     ``entries`` maps each canonical (sorted) multi-index to the common value
     of the tensor on that orbit; indices missing from the map are zero.
     Treat instances as immutable: all operations return new kernels.  The
-    exact quantities derived from one kernel are kept in its one memo dict,
-    ``_memo``, which assumes ``entries`` is never mutated and is no dataclass
-    field, so ``==`` and ``repr`` do not see it; its keys are listed in the
-    README's design notes.
+    exact quantities derived from one kernel are kept in its memo, ``_memo``,
+    read only through ``_kept`` and assuming ``entries`` is never mutated.
+    It is no dataclass field, so ``==`` and ``repr`` ignore it, and copies
+    and pickles leave it behind; its keys are in the README's design notes.
     """
 
     dim: int
@@ -171,7 +178,7 @@ class SymmetricKernel:
             if type(idx) is not tuple or not all(type(i) is int for i in idx):
                 idx = tuple(_check_int("index", i) for i in idx)
             _check_index(idx, order, dim)
-            val = float(val)
+            val = _entry_float(idx, val)
             if val != 0.0:
                 if not math.isfinite(val):
                     raise ValueError(f"index {idx!r} holds a non-finite value {val!r}")
@@ -187,6 +194,16 @@ class SymmetricKernel:
         vars(k).update(dim=dim, order=order, entries=entries, _memo={})
         return k
 
+    def _kept(self, key, compute, *args):
+        """The memo's value under ``key``, ``compute(*args)`` on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, compute(*args))
+
+    def __getstate__(self):
+        return {**vars(self), "_memo": {}}
+
     # --- constructors -------------------------------------------------
     @staticmethod
     def zero(dim, order):
@@ -195,7 +212,7 @@ class SymmetricKernel:
     @staticmethod
     def constant(dim, value):
         """Order-0 kernel holding a scalar."""
-        return SymmetricKernel(dim, 0, {(): float(value)})
+        return SymmetricKernel(dim, 0, {(): value})
 
     # --- linear structure ----------------------------------------------
     def _like(self, entries):
@@ -224,14 +241,10 @@ class SymmetricKernel:
 
     def _norm_at(self, c):
         """||c f||^2 as ``_norm_sq(entries, c)`` sums it, kept on this kernel
-        for a finite c (a nan key never hits, so it is summed each time)."""
-        memo, key = self._memo, ("norm", c)
-        if key not in memo:
-            total = _norm_sq(self.entries, c)
-            if not math.isfinite(c):
-                return total
-            memo[key] = total
-        return memo[key]
+        for a finite c only: a nan key matches no later nan, so is not kept."""
+        if not math.isfinite(c):
+            return _norm_sq(self.entries, c)
+        return self._kept(("norm", c), _norm_sq, self.entries, c)
 
     def inner(self, other):
         """<f, g> in H^{tensor n} (both kernels symmetric), summed left to
@@ -252,10 +265,7 @@ class SymmetricKernel:
 
     def _inner_half(self):
         """<f, f ~x_{n/2} f>, summed on first use and kept on this kernel."""
-        memo = self._memo
-        if "half" not in memo:
-            memo["half"] = self.inner(self.self_contraction(self.order // 2))
-        return memo["half"]
+        return self._kept("half", lambda: self.inner(self.self_contraction(self.order // 2)))
 
     # --- structural helpers ----------------------------------------------
     def slice_kernel(self, i):
@@ -275,10 +285,7 @@ class SymmetricKernel:
 
     def self_contraction(self, p):
         """f ~x_p f, computed on first use and kept on this kernel."""
-        memo, key = self._memo, ("contraction", p)
-        if key not in memo:
-            memo[key] = contract(self, self, p).symmetrized()
-        return memo[key]
+        return self._kept(("contraction", p), lambda: contract(self, self, p).symmetrized())
 
 
 def symmetrize(raw, dim, order):
@@ -293,7 +300,7 @@ def symmetrize(raw, dim, order):
         if len(idx) != order:
             raise ValueError(f"raw index {idx!r} has wrong length")
         key = tuple(sorted(idx))
-        out[key] = out.get(key, 0.0) + float(v) / multiplicity(key)
+        out[key] = out.get(key, 0.0) + _entry_float(idx, v) / multiplicity(key)
     return SymmetricKernel(dim, order, out)
 
 
@@ -556,11 +563,10 @@ def _product_levels(F, G, first):
 
     Each level's entries accumulate in place (``_add_into``) in (n, m, r)
     order, the values and order of adding the terms up as kernels.  f ~x_r g
-    is read from f's memo when g is f itself.  ``_add_into`` leaves no exact
-    zero, so each level dict becomes its kernel as it is, with no copy.
+    is f's ``self_contraction`` when g is f itself.  ``_add_into`` leaves no
+    exact zero, so each level dict becomes its kernel as it is, with no copy.
     When F and G are the one level of the same kernel object f, the vector
-    is built once and kept in f's memo (see the README's design notes):
-    callers share it and must not mutate it.
+    is kept on f and shared.
     """
     F, G = _vector(F), _vector(G)
     if F.dim != G.dim:
@@ -568,10 +574,7 @@ def _product_levels(F, G, first):
     if len(F.components) == len(G.components) == 1:
         [f], [g] = F.components.values(), G.components.values()
         if f is g:
-            memo, key = f._memo, ("square", first)
-            if key not in memo:
-                memo[key] = _sum_levels(F, F, first)
-            return memo[key]
+            return f._kept(("square", first), _sum_levels, F, F, first)
     return _sum_levels(F, G, first)
 
 
@@ -644,10 +647,8 @@ def wick_moment(factors, powers):
 
     Splits the expanded factor list in half, multiplies each half with the
     product formula, and pairs the halves with the isometry (the level-0
-    read-off of the full product, done one multiplication earlier).  When
-    the right half is the same factor objects as the left, as for
-    ``wick_moment([f], [4])``, the left product serves both.  Each power must
-    be an integer >= 0, and there may be at most 12 chaos factors.
+    read-off of the full product, done one multiplication earlier).  Each
+    power must be an integer >= 0, and there may be at most 12 chaos factors.
     """
     if len(powers) != len(factors):
         raise ValueError("factors and powers length mismatch")
@@ -665,8 +666,6 @@ def wick_moment(factors, powers):
     product = functools.reduce(chaos_product, left)
     if not right:
         return product.expectation()
-    if len(left) == len(right) and all(a is b for a, b in zip(left, right)):
-        return expect_product(product, product)
     return expect_product(product, functools.reduce(chaos_product, right))
 
 

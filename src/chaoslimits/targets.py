@@ -278,7 +278,7 @@ class TargetMeasure:
         avals = self.coeff(grid)
         if np.any(avals <= 0.0):
             bad = grid[np.argmin(avals)]
-            raise ValueError(f"diffusion coefficient is not positive at x={bad!r}")
+            raise ValueError(f"diffusion coefficient is not positive at x={float(bad)!r}")
         return True
 
     def sample_exact(self, count, seed):

@@ -1,6 +1,9 @@
 """Kernel algebra, multiple integrals and the Wick oracle vs dense references."""
+import copy
 import itertools
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +172,20 @@ def test_kernel_rejects_non_finite_values():
         with pytest.raises(ValueError, match="non-finite"):
             symmetrize({(1, 0): bad}, 2, 2)
     assert SymmetricKernel(2, 2, {(0, 1): 1e308}).entries == {(0, 1): 1e308}
+
+
+@pytest.mark.parametrize("build, idx", [
+    (lambda v: SymmetricKernel(2, 2, {(0, 0): 1.0, (0, 1): v}), "(0, 1)"),
+    (lambda v: SymmetricKernel.constant(2, v), "()"),
+    (lambda v: symmetrize({(1, 0): v}, 2, 2), "(1, 0)"),
+], ids=["kernel", "constant", "symmetrize"])
+def test_an_int_too_large_for_a_float_is_bad_input(build, idx):
+    # float() of such an int raises OverflowError, which the CLI reads as a
+    # numeric failure (exit 1); it is input to refuse, naming the index
+    for big in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match=re.escape(idx) + " holds a value too large"):
+            build(big)
+    assert build(2**1023).order in (0, 2)
 
 
 def test_kernel_prunes_exact_zeros():
@@ -593,6 +610,9 @@ def test_wick_moment_equal_halves_reuse_one_product():
         F, G = ChaosVector.from_kernel(f), ChaosVector.from_kernel(g)
         P = chaos_product(F, F)
         assert wick_moment([f], [4]) == expect_product(P, P)
+        # three factors a side: the right half is built again, to equal bits
+        Q = chaos_product(P, F)
+        assert wick_moment([f], [6]) == expect_product(Q, Q)
         # distinct halves keep the two-fold product of each
         assert wick_moment([f, g], [2, 2]) == expect_product(P, chaos_product(G, G))
 
@@ -660,6 +680,22 @@ def test_memoized_square_equals_a_fresh_one(data, d, n, scale):
         want = ChaosVector(d, {k: SymmetricKernel(d, k, dict(h.entries))
                                for k, h in P.components.items()})
         assert P == want and _levels(P) == _levels(want)
+
+
+def test_copies_and_pickles_of_a_kernel_start_with_an_empty_memo():
+    # a kernel is a value: its memo stays with the one object, so a copy
+    # neither shares it nor carries the kept products along
+    f = random_kernel(np.random.default_rng(31), 6, 4, 40)
+    fresh = SymmetricKernel(6, 4, dict(f.entries))
+    square, energy = chaos_product(f, f), malliavin_inner(f, f)
+    assert len(f._memo) > 2
+    assert len(pickle.dumps(f)) == len(pickle.dumps(fresh))
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and g is not f and g._memo == {}
+        assert chaos_product(g, g) is not square and malliavin_inner(g, g) is not energy
+        assert _levels(chaos_product(g, g)) == _levels(square)
+        assert _levels(malliavin_inner(g, g)) == _levels(energy)
+    assert chaos_product(f, f) is square and malliavin_inner(f, f) is energy
 
 
 def test_a_product_of_equal_distinct_kernels_is_not_kept():

@@ -470,6 +470,15 @@ def test_cli_target_file_holds_a_density_grid(capsys, tmp_path):
     assert code == 2 and "--name" in err and not out
 
 
+def test_cli_grid_file_with_three_pairs_is_bad_input(capsys, tmp_path):
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps({"name": "custom", "density": [[-1.0, 0.2], [0.0, 0.4], [1.0, 0.2]],
+                             "support": [-1.0, 1.0]}))
+    code, out, err = run_cli(capsys, ["stein-check", "--target", str(p)])
+    assert code == 2 and not out
+    assert "'density' must be a grid of at least 4 (x, p) pairs" in err
+
+
 def _grid_file_with(tmp_path, field, value):
     doc = json.loads(Path(GRID_FILE).read_text())
     if field == "support":

@@ -137,6 +137,17 @@ def test_validate_rejects_a_nan_mass_or_drift(density, mean, named):
             t.validate()
 
 
+def test_validate_rejects_a_coefficient_that_is_not_positive():
+    # N(0, 1) with a(x) = 1/4 - x^2 passes the mass and drift checks, then
+    # fails at its lowest grid point, printed as a plain float
+    t = TargetMeasure(name="hand", support=(-math.inf, math.inf), density=scipy.stats.norm.pdf,
+                      cdf=scipy.stats.norm.cdf, ppf=scipy.stats.norm.ppf,
+                      coeff=DiffusionCoefficient.polynomial(-1.0, 0.0, 0.25))
+    with pytest.raises(ValueError) as err:
+        t.validate()
+    assert str(err.value) == "diffusion coefficient is not positive at x=-2.575829303548901"
+
+
 def test_validate_holds_the_table_to_its_tolerance():
     # a hand-built beta(0.1, 0.1) has e = 0 at both ends, so its table's end
     # pieces are Gauss-Legendre: mass 0.9705 and E X^2 0.2010 against 0.2083,
@@ -912,6 +923,27 @@ def test_stein_solution_matches_the_closed_form_beside_a_singular_end(target, f)
     assert abs(table.mean_value - g.mean_value) <= 1e-12
 
 
+@pytest.mark.parametrize("name, params, piece", [
+    ("beta", {"a": 0.5, "b": 2.0}, "lower end"),
+    ("gamma", {"a": 0.5, "lam": 1.0}, "lower end"),
+    ("student", {"nu": 3.0}, "past the last finite break"),
+    ("student", {"nu": 3.0}, "before the first finite break"),
+])
+def test_stein_solution_on_a_float_in_an_end_piece_equals_the_array_path(name, params,
+                                                                         piece):
+    # a point inside a Gauss-Jacobi end piece or an infinite end piece takes
+    # the float path's own branches for that piece
+    t = named_target(name, **params)
+    breaks = t._integrals().breaks
+    x = {"lower end": 0.5 * (breaks[0] + breaks[1]),
+         "past the last finite break": 2.0 * breaks[-2],
+         "before the first finite break": 2.0 * breaks[1]}[piece]
+    g = stein_solution(t, np.sin)
+    got = g(float(x))
+    assert type(got) is float and math.isfinite(got)
+    assert got == g(np.array([x]))[0]
+
+
 def test_stein_solution_matches_the_closed_form_in_a_heavy_tail():
     # x^2 on F(2, 5) from q = 0.9 to q = 1 - 1e-6, where each g reads a
     # slowly converging upper tail integral, on an array and point by point
@@ -1039,6 +1071,10 @@ def test_target_from_density_grid_rejects_bad_grids():
         target_from_density_grid(xs, -np.ones_like(xs), (0.0, 1.0))
     with pytest.raises(ValueError):
         target_from_density_grid(xs[::-1], np.ones_like(xs), (0.0, 1.0))
+    with pytest.raises(ValueError, match="needs >= 4 matching"):
+        target_from_density_grid(xs[:3], np.ones(3))
+    with pytest.raises(ValueError, match="support must coincide"):
+        target_from_density_grid(xs, np.ones_like(xs), (0.0, 1.5))
 
 
 def test_grid_density_float_path_equals_array_path():
