@@ -102,18 +102,24 @@ def load_target(path):
     if grid.ndim != 2 or grid.shape[1] != 2 or grid.shape[0] < 4:
         raise ValueError("target file: 'density' must be a grid of"
                          " at least 4 (x, p) pairs")
-    lo, hi = _numbers(doc["support"], "'support'")
-    return target_from_density_grid(grid[:, 0], grid[:, 1], (lo, hi))
+    support = _numbers(doc["support"], "'support'")
+    if support.shape != (2,):
+        raise ValueError("target file: 'support' must hold two numbers [l, u]")
+    return target_from_density_grid(grid[:, 0], grid[:, 1], support)
 
 
 def _numbers(value, what):
     """A JSON number, or nested lists of them, as a float array; a bool,
-    string or null entry raises ValueError."""
+    string or null entry, or an int too large for a float, raises ValueError."""
     entries = np.asarray(value, dtype=object)
     for v in entries.ravel():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"target file: {what} must hold numbers, got {v!r}")
-    return entries.astype(float)
+    try:
+        return entries.astype(float)
+    except OverflowError:
+        raise ValueError(f"target file: {what} holds a number too large"
+                         " for a float") from None
 
 
 # --- sample dumps ----------------------------------------------------------------

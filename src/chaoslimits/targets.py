@@ -856,8 +856,10 @@ def target_from_density_grid(xs, ps, support=None):
         raise ValueError("density grid values must be positive (log interpolation)")
     lo, hi = float(xs[0]), float(xs[-1])
     if support is not None:
-        l, u = float(support[0]), float(support[1])
-        if abs(l - lo) > 1e-12 * max(1.0, abs(lo)) or abs(u - hi) > 1e-12 * max(1.0, abs(hi)):
+        l, u = map(float, support)
+        # written as not (<=) so that a nan end fails the check
+        if not (abs(l - lo) <= 1e-12 * max(1.0, abs(lo))
+                and abs(u - hi) <= 1e-12 * max(1.0, abs(hi))):
             raise ValueError("support must coincide with the density grid span")
     logp = interpolate.PchipInterpolator(xs, np.log(ps), extrapolate=False)
     knots, pieces, last = xs.tolist(), logp.c.T.tolist(), len(xs) - 2

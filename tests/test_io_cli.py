@@ -502,6 +502,21 @@ def test_cli_grid_file_rejects_an_entry_that_is_not_a_number(capsys, tmp_path, f
     assert code == 2 and f"'{field}'" in err and not out
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("support", [math.nan, 6.0], "support must coincide with the density grid span"),
+    ("support", [-6.0, 6.0, 7.0], "'support' must hold two numbers"),
+    ("support", [-6.0, 10**400], "'support' holds a number too large for a float"),
+    ("density", 10**400, "'density' holds a number too large for a float"),
+], ids=["nan-end", "three-ends", "huge-end", "huge-density"])
+def test_cli_grid_file_with_a_bad_number_is_bad_input(capsys, tmp_path, field, value,
+                                                      named):
+    # a nan end compares False both ways, so it must fail the span check, and
+    # an int too large for a float is bad input (exit 2), not a numeric failure
+    path = _grid_file_with(tmp_path, field, value)
+    code, out, err = run_cli(capsys, ["stein-check", "--target", path])
+    assert code == 2 and named in err and not out
+
+
 def _mc_twins(seed):
     return mc_twins(gaussian_clt_family()(2), (0.0, 0.0, 2.0), 10, seed)
 

@@ -1075,6 +1075,12 @@ def test_target_from_density_grid_rejects_bad_grids():
         target_from_density_grid(xs[:3], np.ones(3))
     with pytest.raises(ValueError, match="support must coincide"):
         target_from_density_grid(xs, np.ones_like(xs), (0.0, 1.5))
+    # a nan end compares False both ways, so it must fail the check, not pass it
+    for support in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="support must coincide"):
+            target_from_density_grid(xs, np.ones_like(xs), support)
+    with pytest.raises(ValueError):
+        target_from_density_grid(xs, np.ones_like(xs), (0.0, 1.0, 2.0))
 
 
 def test_grid_density_float_path_equals_array_path():
